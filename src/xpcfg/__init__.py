@@ -41,8 +41,6 @@ from .training import (
     TrainReport,
     expected_counts,
     load_rules,
-    log_likelihood,
-    outside_fill,
     parse_rules,
     prune,
     reestimate,
@@ -58,7 +56,7 @@ from .generate import (
     sample_corpus,
     sample_palindromes,
 )
-from .metrics import EntropyReport, entropy
+from .metrics import EntropyReport, corpus_logprobs, entropy
 from .scoring import (
     BracketSet,
     GeigScore,

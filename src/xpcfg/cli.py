@@ -141,7 +141,7 @@ def cmd_train(args):
     corpus = load_corpus(args.corpus)
     config = TrainConfig(max_iterations=args.max_iter, convergence_tol=args.tol,
                          prune_threshold=args.prune)
-    report = train(cnf, corpus, config, threads=args.threads)
+    report = train(cnf, corpus, config)
     for i, ll in enumerate(report.log_likelihoods, start=1):
         print("iteration %d: log-likelihood %.6f, %d nonzero rules"
               % (i, ll, report.nonzero_rules[i - 1]))
@@ -162,25 +162,13 @@ def cmd_parse(args):
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
     corpus = load_corpus(args.corpus)
 
-    def one(tokens):
-        try:
-            return parse_report(cnf, tokens)
-        except (ParseError, NoParseError) as exc:
-            return exc
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(one, corpus))
-    else:
-        reports = [one(tokens) for tokens in corpus]
-
     out = []
-    for tokens, report in zip(corpus, reports):
+    for tokens in corpus:
         out.append(" ".join(tokens))
-        if isinstance(report, Exception):
-            out.append("no parse: %s" % report)
+        try:
+            report = parse_report(cnf, tokens)
+        except (ParseError, NoParseError) as exc:
+            out.append("no parse: %s" % exc)
         else:
             out.append(format_tree(report.tree, style=args.format))
             out.append(format_report(report))
@@ -226,7 +214,7 @@ def cmd_entropy(args):
 def cmd_eval(args):
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
     gold = load_gold_trees(args.gold)
-    score = evaluate_corpus(cnf, gold, threads=args.threads)
+    score = evaluate_corpus(cnf, gold)
     print(format_corpus_score(score))
     return 0
 
@@ -281,7 +269,6 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=30)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--prune", type=float, default=1e-5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
 
     p = add("parse", cmd_parse, help="Viterbi-parse sentences and report stats")
@@ -289,7 +276,6 @@ def build_parser():
     p.add_argument("--root", default=None)
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["paren", "appendix3"], default="paren")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
 
     p = add("count", cmd_count, help="derivation counts, exact")
@@ -309,7 +295,6 @@ def build_parser():
     p.add_argument("--grammar", required=True)
     p.add_argument("--root", default=None)
     p.add_argument("--gold", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     return parser
 

@@ -33,6 +33,18 @@ class EntropyReport:
     skipped: int
 
 
+def corpus_logprobs(grammar, corpus):
+    """Natural-log probability of each sentence, in corpus order; NEG_INF
+    for a sentence with no parse or with a token outside the vocabulary."""
+    out = []
+    for tokens in corpus:
+        try:
+            out.append(cyk_fill(grammar, tokens).sentence_logprob())
+        except ParseError:
+            out.append(NEG_INF)
+    return out
+
+
 def entropy(grammar, corpus, base=None):
     """Score a corpus; raises NoParseError when nothing is parseable."""
     corpus = list(corpus)
@@ -43,14 +55,8 @@ def entropy(grammar, corpus, base=None):
     mean_terms = 0.0
     words = 0
     scored = 0
-    skipped = 0
-    for tokens in corpus:
-        try:
-            lp = cyk_fill(grammar, tokens).sentence_logprob()
-        except ParseError:
-            lp = NEG_INF
+    for tokens, lp in zip(corpus, corpus_logprobs(grammar, corpus)):
         if lp == NEG_INF:
-            skipped += 1
             continue
         lp /= scale
         total_log += lp
@@ -64,5 +70,5 @@ def entropy(grammar, corpus, base=None):
         h3b=-mean_terms / scored,
         sentences=scored,
         total_words=words,
-        skipped=skipped,
+        skipped=len(corpus) - scored,
     )

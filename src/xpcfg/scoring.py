@@ -10,7 +10,6 @@ full-sentence span is included for both sides.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .chart import NoParseError, ParseError, cyk_fill, viterbi_parse
@@ -179,7 +178,7 @@ def geig_score(candidate, gold):
                      len(candidate.spans), len(gold.spans))
 
 
-def evaluate_corpus(grammar, gold_trees, threads=1):
+def evaluate_corpus(grammar, gold_trees):
     """Viterbi-parse each gold tree's yield and score against its brackets.
 
     Unparsed sentences are excluded from the bracket aggregates but counted
@@ -187,26 +186,12 @@ def evaluate_corpus(grammar, gold_trees, threads=1):
     over total bracket counts.
     """
     gold_trees = list(gold_trees)
-
-    def parse_one(tree):
-        tokens = tree.tokens()
-        try:
-            chart = cyk_fill(grammar, tokens)
-            cand_tree, _ = viterbi_parse(chart, grammar)
-        except (ParseError, NoParseError):
-            return None
-        return cand_tree
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parses = list(pool.map(parse_one, gold_trees))
-    else:
-        parses = [parse_one(t) for t in gold_trees]
-
     score = CorpusScore(sentences_total=len(gold_trees))
     total_len = 0
-    for gold_tree, cand_tree in zip(gold_trees, parses):
-        if cand_tree is None:
+    for gold_tree in gold_trees:
+        try:
+            cand_tree, _ = viterbi_parse(cyk_fill(grammar, gold_tree.tokens()), grammar)
+        except (ParseError, NoParseError):
             score.per_sentence.append(None)
             continue
         gold = brackets_of(gold_tree)

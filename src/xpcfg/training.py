@@ -1,21 +1,22 @@
 """Inside-outside re-estimation of CNF PCFG probabilities on an unbracketed
 corpus, with per-iteration pruning and convergence control.
 
-Outside values use the same scaled mantissa/log-scale representation as the
-inside chart.  Expected counts are accumulated per sentence in corpus order,
-so results are bit-identical at any thread count.
+Expected rule counts come from one reverse pass over the inside chart, which
+fills outside values in the chart's scaled mantissa/log-scale representation
+and books each rule application's count as it goes.  Counts are summed per
+sentence in corpus order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chart import NEG_INF, NoParseError, ParseError, cyk_fill
 from .grammar import BinaryRule, CnfGrammar, GrammarError, LexRule
+from .metrics import corpus_logprobs
 
 
 @dataclass
@@ -47,136 +48,70 @@ class TrainReport:
     coverage_after: float = 0.0
 
 
-class Outside:
-    """Outside values per (start, end, nonterminal) in scaled form."""
-
-    def __init__(self, chart, out_m, out_s):
-        self.chart = chart
-        self.out_m = out_m
-        self.out_s = out_s
-
-    def outside_log(self, start, end, label):
-        a = self.chart.index.nt_i[label]
-        m = self.out_m[start, end, a]
-        return NEG_INF if m == 0.0 else math.log(m) + self.out_s[start, end]
-
-    def outside(self, start, end, label):
-        lp = self.outside_log(start, end, label)
-        return 0.0 if lp == NEG_INF else math.exp(lp)
-
-
-def _merge_scaled(m_a, s_a, m_b, s_b):
-    """Add two scaled vectors, returning (mantissa, scale)."""
-    if m_a is None:
-        return m_b, s_b
-    if m_b is None:
-        return m_a, s_a
-    s = max(s_a, s_b)
-    return m_a * math.exp(s_a - s) + m_b * math.exp(s_b - s), s
-
-
-def outside_fill(grammar, tokens, chart=None):
-    """Compute outside values for a parseable sentence.
-
-    outside(0, n, root) = 1 and, for every cell, inside times outside equals
-    the probability mass of all derivations that use the cell.
-    """
-    if chart is None:
-        chart = cyk_fill(grammar, tokens)
-    if chart.sentence_logprob() == NEG_INF:
-        raise NoParseError("outside values undefined: sentence has no parse")
-    idx = chart.index
-    n, N = chart.n, idx.n_nts
-    in_m, in_s = chart.inside_m, chart.inside_s
-    out_m = np.zeros((n, n + 1, N))
-    out_s = np.zeros((n, n + 1))
-    out_m[0, n, idx.root_i] = 1.0
-
-    for span in range(n - 1, 0, -1):
-        for i in range(0, n - span + 1):
-            k = i + span
-            acc_m, acc_s = None, None
-            # as left child of parents (i, kk) with right sibling (k, kk)
-            if k < n:
-                kks = np.arange(k + 1, n + 1)
-                parents = out_m[i, kks, :]
-                siblings = in_m[k, kks, :]
-                valid = (parents.max(axis=1) > 0.0) & (siblings.max(axis=1) > 0.0)
-                if valid.any():
-                    s = np.where(valid, out_s[i, kks] + in_s[k, kks], NEG_INF)
-                    top = s.max()
-                    w = np.exp(s - top)
-                    per_rule = (w[:, None] * parents[:, idx.bin_a]
-                                * siblings[:, idx.bin_c]).sum(axis=0) * idx.bin_p
-                    acc_m, acc_s = idx.group_b @ per_rule, top
-            # as right child of parents (hh, k) with left sibling (hh, i)
-            if i > 0:
-                hhs = np.arange(0, i)
-                parents = out_m[hhs, k, :]
-                siblings = in_m[hhs, i, :]
-                valid = (parents.max(axis=1) > 0.0) & (siblings.max(axis=1) > 0.0)
-                if valid.any():
-                    s = np.where(valid, out_s[hhs, k] + in_s[hhs, i], NEG_INF)
-                    top = s.max()
-                    w = np.exp(s - top)
-                    per_rule = (w[:, None] * parents[:, idx.bin_a]
-                                * siblings[:, idx.bin_b]).sum(axis=0) * idx.bin_p
-                    acc_m, acc_s = _merge_scaled(acc_m, acc_s, idx.group_c @ per_rule, top)
-            if acc_m is None:
-                continue
-            peak = acc_m.max()
-            if peak > 0.0:
-                out_m[i, k] = acc_m / peak
-                out_s[i, k] = acc_s + math.log(peak)
-    return Outside(chart, out_m, out_s)
-
-
-def expected_counts(grammar, tokens, chart=None, outside=None):
+def expected_counts(grammar, tokens, chart=None):
     """Expected usage count per rule for one sentence, indexed by rule id.
 
     count(r) = sum over applications of r of
         outside(mother) * prob(r) * inside(daughters) / inside(root).
+
+    One reverse pass over the chart, widest spans first, pulls each cell's
+    outside values from its parents: those where the cell is the left
+    daughter and those where it is the right one, gathered in one array under
+    one shared scale.  Every binary application has exactly one left
+    daughter, so the same step books the counts of the applications whose
+    left daughter is the cell.  outside(0, n, root) = 1.
     """
     if chart is None:
         chart = cyk_fill(grammar, tokens)
-    if outside is None:
-        outside = outside_fill(grammar, tokens, chart)
-    idx = chart.index
-    n = chart.n
-    in_m, in_s = chart.inside_m, chart.inside_s
-    out_m, out_s = outside.out_m, outside.out_s
     root_lp = chart.sentence_logprob()
     if root_lp == NEG_INF:
         raise NoParseError("expected counts undefined: sentence has no parse")
-
-    # accumulation stays in the scaled domain: per-rule contributions are
-    # exponentiated only after their (bounded) logs are assembled, so very
-    # long, very improbable sentences cannot overflow intermediate factors
+    idx = chart.index
+    n = chart.n
+    in_m, in_s = chart.inside_m, chart.inside_s
+    out_m = np.zeros_like(in_m)
+    out_s = np.zeros_like(in_s)
+    out_m[0, n, idx.root_i] = 1.0
     counts = np.zeros(len(grammar.rules()))
-    for span in range(2, n + 1):
+
+    for span in range(n - 1, 0, -1):
         for i in range(0, n - span + 1):
             k = i + span
-            mother_m = out_m[i, k]
-            if mother_m.max() == 0.0:
-                continue
-            js = np.arange(i + 1, k)
-            L = in_m[i, js, :]
-            R = in_m[js, k, :]
-            valid = (L.max(axis=1) > 0.0) & (R.max(axis=1) > 0.0)
+            if in_m[i, k].max() == 0.0:
+                continue  # in no derivation, so its outside value is never used
+            # rows: parents (i, kk) with right sibling (k, kk), then parents
+            # (hh, k) with left sibling (hh, i)
+            left = n - k
+            kks, hhs = np.arange(k + 1, n + 1), np.arange(i)
+            par = (np.concatenate((np.full(left, i), hhs)), np.concatenate((kks, np.full(i, k))))
+            sib = (np.concatenate((np.full(left, k), hhs)), np.concatenate((kks, np.full(i, i))))
+            parents, siblings = out_m[par], in_m[sib]
+            valid = (parents.max(axis=1) > 0.0) & (siblings.max(axis=1) > 0.0)
             if not valid.any():
                 continue
-            s = np.where(valid, in_s[i, js] + in_s[js, k] + out_s[i, k] - root_lp, NEG_INF)
+            s = np.where(valid, out_s[par] + in_s[sib], NEG_INF)
             top = s.max()
-            w = np.exp(s - top)
-            inner = (w[:, None] * L[:, idx.bin_b] * R[:, idx.bin_c]).sum(axis=0)
-            contrib = mother_m[idx.bin_a] * idx.bin_p * inner
+            up = np.exp(s - top)[:, None] * parents[:, idx.bin_a]
+            as_left = (up[:left] * siblings[:left, idx.bin_c]).sum(axis=0) * idx.bin_p
+            as_right = (up[left:] * siblings[left:, idx.bin_b]).sum(axis=0) * idx.bin_p
+            cell = idx.group_b @ as_left + idx.group_c @ as_right
+            peak = cell.max()
+            if peak > 0.0:
+                out_m[i, k] = cell / peak
+                out_s[i, k] = top + math.log(peak)
+
+            # contributions are exponentiated only after their (bounded) logs
+            # are assembled, so very long, very improbable sentences cannot
+            # overflow intermediate factors
+            contrib = as_left * in_m[i, k, idx.bin_b]
             pos = contrib > 0.0
             if not pos.any():
                 continue
-            if top <= 0.0:
-                counts[idx.bin_rid[pos]] += contrib[pos] * math.exp(top)
+            scale = top + in_s[i, k] - root_lp
+            if scale <= 0.0:
+                counts[idx.bin_rid[pos]] += contrib[pos] * math.exp(scale)
             else:
-                counts[idx.bin_rid[pos]] += np.exp(np.log(contrib[pos]) + top)
+                counts[idx.bin_rid[pos]] += np.exp(np.log(contrib[pos]) + scale)
     for i, tok in enumerate(tokens):
         base = out_s[i, i + 1] - root_lp
         for a, p, rid in idx.lex[tok]:
@@ -220,61 +155,27 @@ def prune(grammar, threshold):
     return grammar.replace_probs(probs), True
 
 
-def _sentence_estep(grammar, tokens):
-    """(log inside(root), expected-count vector) or None when unparseable."""
-    try:
-        chart = cyk_fill(grammar, tokens)
-    except ParseError:
-        return None
-    lp = chart.sentence_logprob()
-    if lp == NEG_INF:
-        return None
-    outside = outside_fill(grammar, tokens, chart)
-    return lp, expected_counts(grammar, tokens, chart, outside)
-
-
-def _estep(grammar, corpus, threads):
-    """Corpus E-step: merged counts, log-likelihood, skipped-sentence count.
-
-    Per-sentence results are merged in corpus order whatever the thread
-    count, keeping the reduction deterministic.
-    """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _sentence_estep(grammar, s), corpus))
-    else:
-        results = [_sentence_estep(grammar, s) for s in corpus]
+def _estep(grammar, corpus):
+    """Corpus E-step: summed counts, log-likelihood, skipped-sentence count."""
     counts = np.zeros(len(grammar.rules()))
     ll = 0.0
     skipped = 0
-    for res in results:
-        if res is None:
+    for tokens in corpus:
+        try:
+            chart = cyk_fill(grammar, tokens)
+        except ParseError:
             skipped += 1
-        else:
-            ll += res[0]
-            counts += res[1]
+            continue
+        lp = chart.sentence_logprob()
+        if lp == NEG_INF:
+            skipped += 1
+            continue
+        ll += lp
+        counts += expected_counts(grammar, tokens, chart)
     return counts, ll, skipped
 
 
-def coverage(grammar, corpus, threads=1):
-    """Fraction of corpus sentences with at least one parse."""
-    def parses(tokens):
-        try:
-            return cyk_fill(grammar, tokens).sentence_logprob() != NEG_INF
-        except ParseError:
-            return False
-
-    if not corpus:
-        return 0.0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(parses, corpus))
-    else:
-        flags = [parses(s) for s in corpus]
-    return sum(flags) / len(corpus)
-
-
-def train(grammar, corpus, config=None, threads=1):
+def train(grammar, corpus, config=None):
     """Run inside-outside re-estimation until the corpus log-likelihood
     stabilises or the iteration cap is reached."""
     config = config or TrainConfig()
@@ -284,16 +185,16 @@ def train(grammar, corpus, config=None, threads=1):
         raise ValueError("empty training corpus")
 
     report = TrainReport()
-    report.coverage_before = coverage(grammar, corpus, threads)
-    if report.coverage_before == 0.0:
-        raise NoParseError("no sentence in the corpus is parseable by the grammar")
-    if not config.skip_unparseable and report.coverage_before < 1.0:
-        raise NoParseError("corpus contains unparseable sentences")
-
     current = grammar
     prev_ll = None
     for it in range(1, config.max_iterations + 1):
-        counts, ll, skipped = _estep(current, corpus, threads)
+        counts, ll, skipped = _estep(current, corpus)
+        if it == 1:
+            report.coverage_before = (len(corpus) - skipped) / len(corpus)
+            if skipped == len(corpus):
+                raise NoParseError("no sentence in the corpus is parseable by the grammar")
+            if skipped and not config.skip_unparseable:
+                raise NoParseError("corpus contains unparseable sentences")
         report.log_likelihoods.append(ll)
         report.skipped = skipped
         current = reestimate(current, counts)
@@ -309,27 +210,9 @@ def train(grammar, corpus, config=None, threads=1):
         prev_ll = ll
 
     report.grammar = current
-    report.coverage_after = coverage(current, corpus, threads)
+    parsed = sum(lp != NEG_INF for lp in corpus_logprobs(current, corpus))
+    report.coverage_after = parsed / len(corpus)
     return report
-
-
-def log_likelihood(grammar, corpus):
-    """Total natural-log likelihood of the parseable corpus subset.
-
-    Returns (log-likelihood, unparseable-sentence count).
-    """
-    total = 0.0
-    skipped = 0
-    for tokens in corpus:
-        try:
-            lp = cyk_fill(grammar, tokens).sentence_logprob()
-        except ParseError:
-            lp = NEG_INF
-        if lp == NEG_INF:
-            skipped += 1
-        else:
-            total += lp
-    return total, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +243,7 @@ def parse_rules(text, root=None):
     -trip exactly.  The default root is the first rule's mother.
     """
     binary, lexical = [], []
+    seen_rules = set()  # (mother, left, right) or (mother, word, "#")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -371,8 +255,11 @@ def parse_rules(text, root=None):
         if origin not in ("explicit", "implicit"):
             raise GrammarError("bad origin %r" % origin, lineno)
         prob = float(prob_s)
-        if prob < 0.0 or prob > 1.0:
+        if not 0.0 <= prob <= 1.0:
             raise GrammarError("probability %g outside [0, 1]" % prob, lineno)
+        if (mother, d1, d2) in seen_rules:
+            raise GrammarError("duplicate rule %s --> %s %s" % (mother, d1, d2), lineno)
+        seen_rules.add((mother, d1, d2))
         if d2 == "#":
             lexical.append(LexRule(mother, d1, prob, origin))
         else:

@@ -197,9 +197,9 @@ def test_criterion_7_oracle_equivalence():
             parseable += 1
             total = sum(p for p, _, _ in derivs)
             best = max(p for p, _, _ in derivs)
-            assert chart.sentence_prob() == pytest.approx(total, rel=1e-12)
+            assert chart.sentence_prob() == pytest.approx(total, rel=1e-12, abs=0)
             _, vit = viterbi_parse(chart, g)
-            assert vit == pytest.approx(best, rel=1e-12)
+            assert vit == pytest.approx(best, rel=1e-12, abs=0)
             oracle = expected_usage(derivs, len(g.rules()))
             counts = expected_counts(g, tokens, chart)
             np.testing.assert_allclose(counts, oracle, rtol=1e-9, atol=1e-15)

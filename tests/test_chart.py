@@ -27,7 +27,7 @@ FIVE_WORDS_INSIDE = 1.0 * (0.8 * 0.4 * 0.15) * (0.9 * 0.65 * (0.8 * 0.4 * 0.2))
 class TestInside:
     def test_single_parse_probability(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)
-        assert chart.sentence_prob() == pytest.approx(FIVE_WORDS_INSIDE, rel=1e-12)
+        assert chart.sentence_prob() == pytest.approx(FIVE_WORDS_INSIDE, rel=1e-12, abs=0)
 
     def test_unparseable_sentence(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, "chases chases".split())
@@ -44,7 +44,7 @@ class TestInside:
 
     def test_inside_cell_access(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)
-        assert chart.inside(0, 2, "N1") == pytest.approx(0.8 * 0.4 * 0.15, rel=1e-12)
+        assert chart.inside(0, 2, "N1") == pytest.approx(0.8 * 0.4 * 0.15, rel=1e-12, abs=0)
         assert chart.inside(0, 2, "V1") == 0.0
 
     def test_extended_range_no_underflow(self):
@@ -67,7 +67,7 @@ class TestViterbi:
     def test_unique_parse_matches_inside(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)
         tree, prob = viterbi_parse(chart, xbar_cnf)
-        assert prob == pytest.approx(chart.sentence_prob(), rel=1e-12)
+        assert prob == pytest.approx(chart.sentence_prob(), rel=1e-12, abs=0)
         assert tree_to_paren(tree) == \
             "(V2 (N1 (DT the) (N0 cat)) (V1 (V0 chases) (N1 (DT the) (N0 ball))))"
         assert tree.tokens() == FIVE_WORDS
@@ -75,7 +75,7 @@ class TestViterbi:
     def test_likelihood_one_when_unambiguous(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)
         assert count_parses(chart) == 1
-        assert likelihood_ratio(chart) == pytest.approx(1.0, rel=1e-12)
+        assert likelihood_ratio(chart) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_no_parse_raises(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, "chases chases".split())
@@ -168,7 +168,7 @@ class TestReports:
         rep = parse_report(xbar_implicit, sentence14)
         assert rep.best_log <= rep.all_log
         assert rep.likelihood == pytest.approx(
-            math.exp(rep.best_log - rep.all_log), rel=1e-12)
+            math.exp(rep.best_log - rep.all_log), rel=1e-12, abs=0)
         assert 0.0 < rep.likelihood <= 1.0
 
     def test_report_format(self, xbar_cnf):
@@ -212,9 +212,9 @@ class TestOracleEquivalence:
                     continue
                 total = sum(p for p, _, _ in derivs)
                 best = max(p for p, _, _ in derivs)
-                assert chart.sentence_prob() == pytest.approx(total, rel=1e-12)
+                assert chart.sentence_prob() == pytest.approx(total, rel=1e-12, abs=0)
                 _, vit = viterbi_parse(chart, g)
-                assert vit == pytest.approx(best, rel=1e-12)
+                assert vit == pytest.approx(best, rel=1e-12, abs=0)
                 assert vit <= chart.sentence_prob() * (1 + 1e-12)
                 checked += 1
         assert checked >= 100

@@ -179,15 +179,6 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-def test_parse_threads_identical_output(capsys, xbar_path, tmp_path):
-    corpus = tmp_path / "c.txt"
-    corpus.write_text("the cat chases the ball\nslowly slowly\nthe boy kisses the girl\n")
-    _, seq, _ = run(capsys, "parse", "--grammar", xbar_path, "--corpus", str(corpus))
-    _, par, _ = run(capsys, "parse", "--grammar", xbar_path, "--corpus", str(corpus),
-                    "--threads", "3")
-    assert seq == par
-
-
 def test_train_continues_from_trained_model(capsys, xbar_path, tmp_path):
     # retraining takes whatever grammar file it is given, so continuing from
     # a previous model is just passing that model back in

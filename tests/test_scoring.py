@@ -164,14 +164,6 @@ class TestEvaluateCorpus:
         assert score.avg_crossings == pytest.approx(2.0)
         assert 0 <= score.avg_crossings <= score.candidate_count / score.sentences_parsed
 
-    def test_threads_equal_sequential(self, xbar_cnf):
-        corpus = sample_corpus(xbar_cnf, GenConfig(count=12, seed=13))
-        golds = [viterbi_parse(cyk_fill(xbar_cnf, s), xbar_cnf)[0] for s in corpus]
-        a = evaluate_corpus(xbar_cnf, golds, threads=1)
-        b = evaluate_corpus(xbar_cnf, golds, threads=3)
-        assert (a.recall, a.precision, a.total_crossings) == \
-            (b.recall, b.precision, b.total_crossings)
-
     def test_format(self, xbar_cnf):
         corpus = sample_corpus(xbar_cnf, GenConfig(count=5, seed=14))
         golds = [viterbi_parse(cyk_fill(xbar_cnf, s), xbar_cnf)[0] for s in corpus]

@@ -6,15 +6,14 @@ import pytest
 
 from bruteforce import enumerate_derivations, expected_usage, random_cnf_grammar
 from xpcfg import fixtures
-from xpcfg.chart import NoParseError, count_parses, cyk_fill
+from xpcfg.chart import NEG_INF, NoParseError, count_parses, cyk_fill
 from xpcfg.generate import GenConfig, sample_corpus
 from xpcfg.grammar import BinaryRule, CnfGrammar, LexRule
+from xpcfg.metrics import corpus_logprobs
 from xpcfg.training import (
     TrainConfig,
     expected_counts,
     load_rules,
-    log_likelihood,
-    outside_fill,
     parse_rules,
     prune,
     reestimate,
@@ -25,35 +24,19 @@ from xpcfg.training import (
 FIVE_WORDS = "the cat chases the ball".split()
 
 
-class TestOutside:
-    def test_root_outside_is_one(self, xbar_cnf):
-        out = outside_fill(xbar_cnf, FIVE_WORDS)
-        assert out.outside(0, 5, "V2") == 1.0
-
-    def test_per_word_mass_conservation(self, xbar_cnf):
-        chart = cyk_fill(xbar_cnf, FIVE_WORDS)
-        out = outside_fill(xbar_cnf, FIVE_WORDS, chart)
-        p = chart.sentence_prob()
-        for i in range(5):
-            mass = sum(chart.inside(i, i + 1, a) * out.outside(i, i + 1, a)
-                       for a in xbar_cnf.nonterminals)
-            assert mass == pytest.approx(p, rel=1e-12)
-
-    def test_cells_on_unique_derivation(self, xbar_cnf):
-        chart = cyk_fill(xbar_cnf, FIVE_WORDS)
-        out = outside_fill(xbar_cnf, FIVE_WORDS, chart)
-        p = chart.sentence_prob()
-        # every constituent of the single parse satisfies inside*outside = P
-        for (i, k, label) in [(0, 2, "N1"), (2, 5, "V1"), (3, 5, "N1"), (2, 3, "V0")]:
-            assert chart.inside(i, k, label) * out.outside(i, k, label) == \
-                pytest.approx(p, rel=1e-12)
+class TestExpectedCounts:
+    def test_lexical_counts_sum_to_length(self, xbar_cnf, xbar_implicit):
+        # every word is covered by exactly one preterminal in each derivation
+        for g, tokens in ((xbar_cnf, FIVE_WORDS),
+                          (xbar_implicit, "the cat chases the ball with the boy".split())):
+            counts = expected_counts(g, tokens)
+            lexical = counts[len(g.binary):].sum()
+            assert lexical == pytest.approx(len(tokens), rel=1e-12, abs=0)
 
     def test_unparseable_rejected(self, xbar_cnf):
         with pytest.raises(NoParseError):
-            outside_fill(xbar_cnf, "chases chases".split())
+            expected_counts(xbar_cnf, "chases chases".split())
 
-
-class TestExpectedCounts:
     def test_unambiguous_counts_are_integers(self, xbar_cnf):
         counts = expected_counts(xbar_cnf, FIVE_WORDS)
         by_rule = {}
@@ -211,15 +194,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(xbar_cnf, [FIVE_WORDS], TrainConfig(prune_threshold=1.0))
 
-    def test_threads_bit_identical(self, xbar_cnf, xbar_implicit):
-        corpus = sample_corpus(xbar_cnf, GenConfig(count=40, seed=8))
-        cfg = TrainConfig(max_iterations=3)
-        seq = train(xbar_implicit, corpus, cfg, threads=1)
-        par = train(xbar_implicit, corpus, cfg, threads=4)
-        assert seq.log_likelihoods == par.log_likelihoods
-        assert [r.prob for r in seq.grammar.rules()] == \
-            [r.prob for r in par.grammar.rules()]
-
     def test_shard_merge_equals_sequential(self, xbar_cnf, xbar_implicit):
         corpus = sample_corpus(xbar_cnf, GenConfig(count=30, seed=3))
         whole = np.zeros(len(xbar_implicit.rules()))
@@ -250,18 +224,17 @@ class TestTrain:
 
 class TestLogLikelihood:
     def test_single_sentence(self, xbar_cnf):
-        ll, skipped = log_likelihood(xbar_cnf, [FIVE_WORDS])
-        assert ll == pytest.approx(math.log(0.0017971200000000004), rel=1e-12)
-        assert skipped == 0
+        assert corpus_logprobs(xbar_cnf, [FIVE_WORDS]) == [
+            pytest.approx(math.log(0.0017971200000000004), rel=1e-12, abs=0)]
 
     def test_additivity(self, xbar_cnf):
-        one, _ = log_likelihood(xbar_cnf, [FIVE_WORDS])
-        two, _ = log_likelihood(xbar_cnf, [FIVE_WORDS, FIVE_WORDS])
-        assert two == pytest.approx(2 * one, rel=1e-12)
+        [one] = corpus_logprobs(xbar_cnf, [FIVE_WORDS])
+        two = sum(corpus_logprobs(xbar_cnf, [FIVE_WORDS, FIVE_WORDS]))
+        assert two == pytest.approx(2 * one, rel=1e-12, abs=0)
 
     def test_all_unparseable(self, xbar_cnf):
-        ll, skipped = log_likelihood(xbar_cnf, [["chases", "chases"], ["so", "so"]])
-        assert ll == 0.0 and skipped == 2
+        corpus = [["chases", "chases"], ["so", "so"], ["the", "unicorn"]]
+        assert corpus_logprobs(xbar_cnf, corpus) == [NEG_INF] * 3
 
 
 class TestRuleSerialization:
@@ -295,6 +268,12 @@ class TestRuleSerialization:
             parse_rules("S --> A B 1.5 explicit\n")
         with pytest.raises(GrammarError):
             parse_rules("")
+        with pytest.raises(GrammarError, match="line 1"):
+            parse_rules("S --> A A nan explicit\n")
+        with pytest.raises(GrammarError, match="line 2"):
+            parse_rules("S --> A A 1.0 explicit\nS --> A A 1.0 explicit\nA --> a # 1.0 explicit\n")
+        with pytest.raises(GrammarError, match="line 3"):
+            parse_rules("S --> A A 1.0 explicit\nA --> a # 0.5 explicit\nA --> a # 0.5 explicit\n")
 
     def test_trained_fixture_parses_14_words(self, sentence14):
         g = parse_rules(fixtures.trained_rules_text(), root="V2")
