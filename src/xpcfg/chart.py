@@ -3,8 +3,13 @@
 Inside values are kept in an extended-range representation: each span stores
 a mantissa vector over nonterminals plus one natural-log scale factor, so
 sentence probabilities far below double-precision range stay exact to within
-rounding.  Viterbi search runs in the log domain; derivation counts use
-arbitrary-precision integers.
+rounding.  Viterbi search runs in the log domain.  Derivation counts are
+int64 while a bound shows they cannot overflow, and exact Python integers
+from the first span width where it cannot be ruled out.
+
+Every pass fills the chart one span width at a time: the daughters of all
+cells of the width are gathered as (cells, splits, nonterminals) blocks and
+combined by a few array operations, so no pass loops over cells in Python.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 NEG_INF = float("-inf")
+
+# Viterbi score blocks (cells x mothers x rules per mother x splits) are
+# tiled to at most this many elements, which bounds the pass's peak memory
+# on long sentences
+_VITERBI_BLOCK = 2 ** 14
 
 
 class ParseError(Exception):
@@ -53,18 +63,33 @@ class _Index:
         self.bin_p = np.asarray(P, dtype=np.float64)
         self.bin_logp = np.log(self.bin_p) if len(P) else np.zeros(0)
         self.bin_rid = np.asarray(rid, dtype=np.int64)
-        # symbol -> rule-position matrices for grouped sums over rule slots
-        nr = len(A)
-        self.group_a = np.zeros((self.n_nts, nr), dtype=np.float64)
-        self.group_b = np.zeros((self.n_nts, nr), dtype=np.float64)
-        self.group_c = np.zeros((self.n_nts, nr), dtype=np.float64)
+        # symbol -> rule-position matrices for grouped sums over rule slots in
+        # the reverse pass of training
+        N, nr = self.n_nts, len(A)
+        self.group_b = np.zeros((N, nr), dtype=np.float64)
+        self.group_c = np.zeros((N, nr), dtype=np.float64)
         if nr:
             cols = np.arange(nr)
-            self.group_a[self.bin_a, cols] = 1.0
             self.group_b[self.bin_b, cols] = 1.0
             self.group_c[self.bin_c, cols] = 1.0
-        # rule positions per mother, already in ascending rule-id order
-        self.rules_of = [np.flatnonzero(self.bin_a == a) for a in range(self.n_nts)]
+        # daughter pair (left * N + right) -> mother: rule probabilities and
+        # rule multiplicities, for the inside and counting passes
+        pair = (self.bin_b * N + self.bin_c, self.bin_a)
+        self.pair_p = np.zeros((N * N, N))
+        np.add.at(self.pair_p, pair, self.bin_p)
+        self.pair_n = np.zeros((N * N, N), dtype=np.int64)
+        np.add.at(self.pair_n, pair, 1)
+        # each mother's rules in ascending rule-id order, padded to one width
+        # with a rule past the last: daughter pairs, log-probabilities (-inf at
+        # the pads) and rule ids, for the Viterbi pass
+        rules_of = [np.flatnonzero(self.bin_a == a) for a in range(N)]
+        self.max_rules = max(len(r) for r in rules_of)
+        slots = np.full((N, max(1, self.max_rules)), nr)
+        for a, pos in enumerate(rules_of):
+            slots[a, :len(pos)] = pos
+        self.mother_pair = np.append(pair[0], 0)[slots]
+        self.mother_logp = np.append(self.bin_logp, NEG_INF)[slots][:, :, None]
+        self.mother_rid = np.append(self.bin_rid, -1)[slots]
 
         self.lex = {}
         nb = len(grammar.binary)
@@ -129,27 +154,18 @@ class Chart:
                 if lp > vit[i, i + 1, a]:
                     vit[i, i + 1, a] = lp
                     bp_rule[i, i + 1, a] = rid
-        for span in range(2, n + 1):
-            for i in range(0, n - span + 1):
-                k = i + span
-                js = np.arange(i + 1, k)
-                L = vit[i, js, :]
-                R = vit[js, k, :]
-                scores = L[:, idx.bin_b] + R[:, idx.bin_c] + idx.bin_logp[None, :]
-                for a in range(N):
-                    cols = idx.rules_of[a]
-                    if not len(cols):
-                        continue
-                    sub = scores[:, cols]
-                    best = sub.max()
-                    if best == NEG_INF:
-                        continue
-                    ties = np.argwhere(sub == best)
-                    # lowest rule id first, then lowest split point
-                    pick = min((idx.bin_rid[cols[c]], js[r], c) for r, c in ties)
-                    vit[i, k, a] = best
-                    bp_rule[i, k, a] = pick[0]
-                    bp_split[i, k, a] = pick[1]
+        K = idx.max_rules
+        for span in range(2, n + 1) if K else ():
+            i, k, js = _width(n, span)
+            splits = span - 1
+            tile = max(1, _VITERBI_BLOCK // (splits * N * K))
+            for t in range(0, len(i), tile):
+                it, kt, jt = i[t:t + tile], k[t:t + tile], js[t:t + tile]
+                best, rid, split = _viterbi_block(idx, vit[it[:, None], jt], vit[jt, kt[:, None]])
+                live = best > NEG_INF
+                vit[it, kt] = best
+                bp_rule[it, kt] = np.where(live, rid, -1)
+                bp_split[it, kt] = np.where(live, it[:, None] + 1 + split, -1)
         self._vit = (vit, bp_rule, bp_split)
 
     def viterbi_tables(self):
@@ -166,30 +182,50 @@ class Chart:
     def _fill_counts(self):
         idx = self.index
         n, N = self.n, idx.n_nts
-        counts = [[[0] * N for _ in range(n + 1)] for _ in range(n)]
+        counts = np.zeros((n, n + 1, N), dtype=np.int64)
         for i, tok in enumerate(self.tokens):
             for a, _p, _rid in idx.lex[tok]:
-                counts[i][i + 1][a] = 1
-        triples = list(zip(idx.bin_a.tolist(), idx.bin_b.tolist(), idx.bin_c.tolist()))
+                counts[i, i + 1, a] = 1
         for span in range(2, n + 1):
-            for i in range(0, n - span + 1):
-                k = i + span
-                cell = counts[i][k]
-                for j in range(i + 1, k):
-                    left = counts[i][j]
-                    right = counts[j][k]
-                    for a, b, c in triples:
-                        lb = left[b]
-                        if lb:
-                            rc = right[c]
-                            if rc:
-                                cell[a] += lb * rc
+            i, k, js = _width(n, span)
+            L = counts[i[:, None], js]
+            R = counts[js, k[:, None]]
+            # every cell of the width is at most this; past 2^62 the sums
+            # could overflow int64, so the rest of the chart is Python ints
+            if (counts.dtype != object
+                    and int(L.max()) * int(R.max()) * (span - 1) * idx.max_rules > 2 ** 62):
+                counts, L, R = counts.astype(object), L.astype(object), R.astype(object)
+            pairs = L.transpose(0, 2, 1) @ R
+            counts[i, k] = pairs.reshape(len(i), N * N) @ idx.pair_n
         self._counts = counts
 
     def count(self, start, end, label):
         if self._counts is None:
             self._fill_counts()
-        return self._counts[start][end][self.index.nt_i[label]]
+        return int(self._counts[start, end, self.index.nt_i[label]])
+
+
+def _width(n, span):
+    """Cells (i, i + span) of one span width, and their split points j as a
+    (cells, splits) array."""
+    i = np.arange(n - span + 1)
+    return i, i + span, i[:, None] + np.arange(1, span)
+
+
+def _viterbi_block(idx, L, R):
+    """Best log-probability per (cell, mother) from daughter blocks L and R
+    of shape (cells, splits, N), with the rule id and split index reaching
+    it: the lowest rule id among ties, then the lowest split."""
+    cells, splits, N = L.shape
+    L, R = L.transpose(0, 2, 1), R.transpose(0, 2, 1)
+    pairs = (L[:, :, None, :] + R[:, None, :, :]).reshape(cells, N * N, splits)
+    # (cells, mothers, rule slots, splits), flattened over the last two axes
+    # so that the first maximum is the lowest slot, then the lowest split
+    scores = pairs[:, idx.mother_pair]
+    scores += idx.mother_logp
+    scores = scores.reshape(cells, N, -1)
+    slot, split = np.divmod(scores.argmax(axis=2), splits)
+    return scores.max(axis=2), idx.mother_rid[np.arange(N), slot], split
 
 
 def cyk_fill(grammar, tokens):
@@ -215,27 +251,21 @@ def cyk_fill(grammar, tokens):
         for a, p, _rid in idx.lex[tok]:
             inside_m[i, i + 1, a] = p
 
-    have_rules = len(idx.bin_p) > 0
     for span in range(2, n + 1):
-        for i in range(0, n - span + 1):
-            k = i + span
-            if not have_rules:
-                break
-            js = np.arange(i + 1, k)
-            L = inside_m[i, js, :]
-            R = inside_m[js, k, :]
-            valid = (L.max(axis=1) > 0.0) & (R.max(axis=1) > 0.0)
-            if not valid.any():
-                continue
-            s = np.where(valid, inside_s[i, js] + inside_s[js, k], NEG_INF)
-            m = s.max()
-            w = np.exp(s - m)
-            contrib = (w[:, None] * L[:, idx.bin_b] * R[:, idx.bin_c]).sum(axis=0)
-            cell = idx.group_a @ (contrib * idx.bin_p)
-            top = cell.max()
-            if top > 0.0:
-                inside_m[i, k] = cell / top
-                inside_s[i, k] = m + math.log(top)
+        i, k, js = _width(n, span)
+        L = inside_m[i[:, None], js]
+        R = inside_m[js, k[:, None]]
+        s = inside_s[i[:, None], js] + inside_s[js, k[:, None]]
+        s[(L.max(axis=2) == 0.0) | (R.max(axis=2) == 0.0)] = NEG_INF
+        m = s.max(axis=1)
+        m[m == NEG_INF] = 0.0  # no split with mass: every weight below is 0
+        w = np.exp(s - m[:, None])
+        pairs = (L * w[:, :, None]).transpose(0, 2, 1) @ R
+        cell = pairs.reshape(len(i), N * N) @ idx.pair_p
+        top = cell.max(axis=1)
+        live = top > 0.0
+        inside_m[i[live], k[live]] = cell[live] / top[live, None]
+        inside_s[i[live], k[live]] = m[live] + np.log(top[live])
     return Chart(grammar, tokens, inside_m, inside_s)
 
 

@@ -75,12 +75,13 @@ class Tree:
         self.children = tuple(children)
 
     def tokens(self):
-        out = []
-        for c in self.children:
-            if isinstance(c, str):
-                out.append(c)
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
             else:
-                out.extend(c.tokens())
+                stack.extend(reversed(node.children))
         return out
 
     def __repr__(self):
@@ -89,37 +90,40 @@ class Tree:
 
 
 def parse_tree_text(text):
-    """Read one bracketed tree in nested-parenthesis form '(Label child ...)'."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    """Read one bracketed tree in nested-parenthesis form '(Label child ...)'.
 
-    def node():
-        nonlocal pos
-        if tokens[pos] != "(":
-            raise GrammarError("expected '(' in tree text at %r" % tokens[pos])
-        pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise GrammarError("missing node label in tree text")
-        label = tokens[pos]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(node())
-            else:
-                children.append(tokens[pos])
-                pos += 1
+    Iterative, so tree depth is not limited by the interpreter's recursion
+    limit.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens or tokens[0] != "(":
+        raise GrammarError("expected '(' in tree text at %r" % (tokens[0] if tokens else text))
+    stack = []  # open constituents: (label, children so far)
+    pos = 0
+    while True:
+        tok = tokens[pos]
+        if tok == "(":
+            if pos + 1 >= len(tokens) or tokens[pos + 1] in "()":
+                raise GrammarError("missing node label in tree text")
+            stack.append((tokens[pos + 1], []))
+            pos += 2
+        elif tok == ")":
+            label, children = stack.pop()
+            if not children:
+                raise GrammarError("empty constituent %r" % label)
+            node = Tree(label, children)
+            pos += 1
+            if not stack:
+                break
+            stack[-1][1].append(node)
+        else:
+            stack[-1][1].append(tok)
+            pos += 1
         if pos >= len(tokens):
             raise GrammarError("unbalanced parentheses in tree text")
-        pos += 1
-        if not children:
-            raise GrammarError("empty constituent %r" % label)
-        return Tree(label, children)
-
-    result = node()
     if pos != len(tokens):
         raise GrammarError("trailing text after tree")
-    return result
+    return node
 
 
 def read_gold_trees(text):
@@ -135,20 +139,21 @@ def load_gold_trees(path):
 def brackets_of(tree):
     """Spans of all internal nodes covering at least two words, deduplicated."""
     spans = set()
-
-    def walk(node, start):
-        end = start
-        for c in node.children:
+    end = 0  # words read so far
+    stack = [(end, iter(tree.children))]  # open nodes: (start, unread children)
+    while stack:
+        start, children = stack[-1]
+        for c in children:
             if isinstance(c, str):
                 end += 1
             else:
-                end = walk(c, end)
-        if end - start >= 2:
-            spans.add((start, end))
-        return end
-
-    n = walk(tree, 0)
-    return BracketSet(frozenset(spans), n)
+                stack.append((end, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            if end - start >= 2:
+                spans.add((start, end))
+    return BracketSet(frozenset(spans), end)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,10 @@ def parse_rules(text, root=None):
         mother, _, d1, d2, prob_s, origin = parts
         if origin not in ("explicit", "implicit"):
             raise GrammarError("bad origin %r" % origin, lineno)
-        prob = float(prob_s)
+        try:
+            prob = float(prob_s)
+        except ValueError:
+            raise GrammarError("bad probability %r" % prob_s, lineno) from None
         if not 0.0 <= prob <= 1.0:
             raise GrammarError("probability %g outside [0, 1]" % prob, lineno)
         if (mother, d1, d2) in seen_rules:

@@ -22,6 +22,9 @@ from xpcfg.chart import (
 
 FIVE_WORDS = "the cat chases the ball".split()
 FIVE_WORDS_INSIDE = 1.0 * (0.8 * 0.4 * 0.15) * (0.9 * 0.65 * (0.8 * 0.4 * 0.2))
+# every binary bracketing of n words is one derivation: Catalan(n - 1) of them
+CATALAN_GRAMMAR = CnfGrammar(
+    ["S"], ["a"], [BinaryRule("S", "S", "S", 0.25)], [LexRule("S", "a", 1.0)], root="S")
 
 
 class TestInside:
@@ -103,6 +106,13 @@ class TestViterbi:
         assert [c.label for c in tree.children] == ["A", "A"]
         assert prob == pytest.approx(0.25 ** 3)
 
+    def test_tie_break_prefers_lowest_split(self):
+        # every binary tree over four words has probability 0.25 ** 3
+        chart = cyk_fill(CATALAN_GRAMMAR, ["a"] * 4)
+        tree, prob = viterbi_parse(chart)
+        assert tree_to_paren(tree) == "(S (S a) (S (S a) (S (S a) (S a))))"
+        assert prob == pytest.approx(0.25 ** 3, rel=1e-12, abs=0)
+
     def test_viterbi_never_exceeds_inside(self, xbar_implicit, sentence14):
         chart = cyk_fill(xbar_implicit, sentence14)
         _, prob = viterbi_parse(chart, xbar_implicit)
@@ -125,6 +135,14 @@ class TestCounts:
         base = count_parses(cyk_fill(xbar_cnf, sentence14))
         richer = count_parses(cyk_fill(xbar_implicit, sentence14))
         assert richer >= base
+
+    @pytest.mark.parametrize("n", [36, 37])
+    def test_count_across_int64_range(self, n):
+        # Catalan(35) lies below 2^63 and Catalan(36) above it
+        count = count_parses(cyk_fill(CATALAN_GRAMMAR, ["a"] * n))
+        assert type(count) is int
+        assert count == math.comb(2 * (n - 1), n - 1) // n
+        assert (count < 2 ** 63) == (n == 36)
 
     def test_count_zero_iff_inside_zero(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)

@@ -50,6 +50,18 @@ class TestBrackets:
             parse_tree_text("S a b)")
         with pytest.raises(GrammarError):
             parse_tree_text("(S)")
+        with pytest.raises(GrammarError):
+            parse_tree_text("")
+
+    def test_deep_tree(self):
+        # right-branching chain (S a (S a ... (S a b))), far deeper than the
+        # interpreter's recursion limit
+        depth = 5000
+        tree = parse_tree_text("(S a " * depth + "b" + ")" * depth)
+        assert tree.tokens() == ["a"] * depth + ["b"]
+        brackets = brackets_of(tree)
+        assert brackets.length == depth + 1
+        assert brackets.spans == {(i, depth + 1) for i in range(depth)}
 
     def test_read_gold_trees(self):
         trees = read_gold_trees("(S a b)\n\n(S (X a) b)\n")

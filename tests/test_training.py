@@ -271,6 +271,8 @@ class TestRuleSerialization:
         with pytest.raises(GrammarError, match="line 1"):
             parse_rules("S --> A A nan explicit\n")
         with pytest.raises(GrammarError, match="line 2"):
+            parse_rules("A --> a # 1.0 explicit\nS --> A A abc explicit\n")
+        with pytest.raises(GrammarError, match="line 2"):
             parse_rules("S --> A A 1.0 explicit\nS --> A A 1.0 explicit\nA --> a # 1.0 explicit\n")
         with pytest.raises(GrammarError, match="line 3"):
             parse_rules("S --> A A 1.0 explicit\nA --> a # 0.5 explicit\nA --> a # 0.5 explicit\n")
