@@ -26,7 +26,7 @@ from .chart import (
     Chart,
     NoParseError,
     ParseError,
-    ParseTree,
+    Tree,
     count_parses,
     cyk_fill,
     format_report,

@@ -1,15 +1,18 @@
-"""CYK packed-chart parsing over CNF PCFGs.
+"""CYK packed-chart parsing over CNF PCFGs, and its reverse pass, which takes
+expected rule counts for training.
 
-Inside values are kept in an extended-range representation: each span stores
-a mantissa vector over nonterminals plus one natural-log scale factor, so
-sentence probabilities far below double-precision range stay exact to within
+Inside and outside values are kept in an extended-range representation: each
+span stores a mantissa vector over nonterminals, with maximum 1, plus one
+natural-log scale factor (-inf for a span without mass), so sentence
+probabilities far below double-precision range stay exact to within
 rounding.  Viterbi search runs in the log domain.  Derivation counts are
-int64 while a bound shows they cannot overflow, and exact Python integers
-from the first span width where it cannot be ruled out.
+float64 while below 2^53, where such sums are exact, and exact Python
+integers from the first span width that reaches it.
 
-Every pass fills the chart one span width at a time: the daughters of all
-cells of the width are gathered as (cells, splits, nonterminals) blocks and
-combined by a few array operations, so no pass loops over cells in Python.
+Every pass fills the chart one span width at a time, widest first for the
+reverse pass: the daughters (or the parents and siblings) of all cells of
+the width are gathered as (cells, splits, nonterminals) blocks and combined
+by a few array operations, so no pass loops over cells in Python.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ NEG_INF = float("-inf")
 # tiled to at most this many elements, which bounds the pass's peak memory
 # on long sentences
 _VITERBI_BLOCK = 2 ** 14
+
+# the reverse pass books a cell's rule counts in the log domain when exp()
+# of its scale relative to the sentence probability could overflow
+_EXP_LIMIT = 700.0
 
 
 class ParseError(Exception):
@@ -63,22 +70,14 @@ class _Index:
         self.bin_p = np.asarray(P, dtype=np.float64)
         self.bin_logp = np.log(self.bin_p) if len(P) else np.zeros(0)
         self.bin_rid = np.asarray(rid, dtype=np.int64)
-        # symbol -> rule-position matrices for grouped sums over rule slots in
-        # the reverse pass of training
-        N, nr = self.n_nts, len(A)
-        self.group_b = np.zeros((N, nr), dtype=np.float64)
-        self.group_c = np.zeros((N, nr), dtype=np.float64)
-        if nr:
-            cols = np.arange(nr)
-            self.group_b[self.bin_b, cols] = 1.0
-            self.group_c[self.bin_c, cols] = 1.0
         # daughter pair (left * N + right) -> mother: rule probabilities and
-        # rule multiplicities, for the inside and counting passes
+        # rule multiplicities, for the inside, reverse and counting passes
+        N, nr = self.n_nts, len(A)
         pair = (self.bin_b * N + self.bin_c, self.bin_a)
         self.pair_p = np.zeros((N * N, N))
         np.add.at(self.pair_p, pair, self.bin_p)
-        self.pair_n = np.zeros((N * N, N), dtype=np.int64)
-        np.add.at(self.pair_n, pair, 1)
+        self.pair_n = np.zeros((N * N, N))
+        np.add.at(self.pair_n, pair, 1.0)
         # each mother's rules in ascending rule-id order, padded to one width
         # with a rule past the last: daughter pairs, log-probabilities (-inf at
         # the pads) and rule ids, for the Viterbi pass
@@ -156,12 +155,13 @@ class Chart:
                     bp_rule[i, i + 1, a] = rid
         K = idx.max_rules
         for span in range(2, n + 1) if K else ():
-            i, k, js = _width(n, span)
+            i, k, lft, rgt = _width(n, span)
             splits = span - 1
             tile = max(1, _VITERBI_BLOCK // (splits * N * K))
             for t in range(0, len(i), tile):
-                it, kt, jt = i[t:t + tile], k[t:t + tile], js[t:t + tile]
-                best, rid, split = _viterbi_block(idx, vit[it[:, None], jt], vit[jt, kt[:, None]])
+                it, kt = i[t:t + tile], k[t:t + tile]
+                best, rid, split = _viterbi_block(
+                    idx, _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile]))
                 live = best > NEG_INF
                 vit[it, kt] = best
                 bp_rule[it, kt] = np.where(live, rid, -1)
@@ -182,21 +182,21 @@ class Chart:
     def _fill_counts(self):
         idx = self.index
         n, N = self.n, idx.n_nts
-        counts = np.zeros((n, n + 1, N), dtype=np.int64)
+        counts, rules = np.zeros((n, n + 1, N)), idx.pair_n
         for i, tok in enumerate(self.tokens):
             for a, _p, _rid in idx.lex[tok]:
-                counts[i, i + 1, a] = 1
+                counts[i, i + 1, a] += 1.0
         for span in range(2, n + 1):
-            i, k, js = _width(n, span)
-            L = counts[i[:, None], js]
-            R = counts[js, k[:, None]]
-            # every cell of the width is at most this; past 2^62 the sums
-            # could overflow int64, so the rest of the chart is Python ints
-            if (counts.dtype != object
-                    and int(L.max()) * int(R.max()) * (span - 1) * idx.max_rules > 2 ** 62):
-                counts, L, R = counts.astype(object), L.astype(object), R.astype(object)
-            pairs = L.transpose(0, 2, 1) @ R
-            counts[i, k] = pairs.reshape(len(i), N * N) @ idx.pair_n
+            i, k, lft, rgt = _width(n, span)
+            cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
+            # float64 sums of non-negative integers are exact below 2^53 and
+            # reach 2^53 only where the exact sums do: from the first width
+            # that reaches it, the chart is Python ints
+            if counts.dtype != object and cell.max() >= 2.0 ** 53:
+                counts = counts.astype(np.int64).astype(object)
+                rules = rules.astype(np.int64).astype(object)
+                cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
+            counts[i, k] = cell
         self._counts = counts
 
     def count(self, start, end, label):
@@ -206,10 +206,26 @@ class Chart:
 
 
 def _width(n, span):
-    """Cells (i, i + span) of one span width, and their split points j as a
-    (cells, splits) array."""
+    """Cells (i, k = i + span) of one span width, and the flat ids of their
+    left and right daughters (i, j) and (j, k) at each split j, as
+    (cells, splits) arrays."""
     i = np.arange(n - span + 1)
-    return i, i + span, i[:, None] + np.arange(1, span)
+    k = i + span
+    js = i[:, None] + np.arange(1, span)
+    return i, k, i[:, None] * (n + 1) + js, js * (n + 1) + k[:, None]
+
+
+def _take(m, ids):
+    """Cells of a chart table m of shape (n, n + 1, N) by flat id
+    start * (n + 1) + end."""
+    return m.reshape(-1, m.shape[-1]).take(ids, axis=0)
+
+
+def _combine(L, R, rules):
+    """Each cell's sum over splits of the products of its (left, right)
+    daughter values, from blocks L and R (cells, splits, N), times a
+    (N * N, N) rule matrix."""
+    return (L.transpose(0, 2, 1) @ R).reshape(len(L), -1) @ rules
 
 
 def _viterbi_block(idx, L, R):
@@ -228,6 +244,25 @@ def _viterbi_block(idx, L, R):
     return scores.max(axis=2), idx.mother_rid[np.arange(N), slot], split
 
 
+def _shared_scale(s):
+    """One log-scale per cell for a sum over its rows: the largest of the
+    rows' log-scales s (cells, rows), which are -inf for rows without mass.
+    Returns each row's weight relative to it, and the scale (0 for a cell
+    with no live row)."""
+    top = s.max(axis=1)
+    top[top == NEG_INF] = 0.0  # no live row: every weight below is 0
+    return np.exp(s - top[:, None]), top
+
+
+def _store(m, s, i, k, cell, top):
+    """Store values cell (cells, N) under log-scales top at cells (i, k) as
+    mantissas with maximum 1; cells with no mass keep scale -inf."""
+    peak = cell.max(axis=1)
+    live = peak > 0.0
+    m[i[live], k[live]] = cell[live] / peak[live, None]
+    s[i[live], k[live]] = top[live] + np.log(peak[live])
+
+
 def cyk_fill(grammar, tokens):
     """Fill the inside chart for a token sequence.
 
@@ -239,66 +274,127 @@ def cyk_fill(grammar, tokens):
     if not tokens:
         raise ParseError("cannot parse an empty sentence")
     idx = _index(grammar)
-    known = set(idx.lex)
-    for pos, tok in enumerate(tokens):
-        if tok not in known:
-            raise ParseError("unknown token %r at position %d" % (tok, pos))
-
     n, N = len(tokens), idx.n_nts
     inside_m = np.zeros((n, n + 1, N))
-    inside_s = np.zeros((n, n + 1))
+    inside_s = np.full((n, n + 1), NEG_INF)
     for i, tok in enumerate(tokens):
+        if tok not in idx.lex:
+            raise ParseError("unknown token %r at position %d" % (tok, i))
+        inside_s[i, i + 1] = 0.0
         for a, p, _rid in idx.lex[tok]:
-            inside_m[i, i + 1, a] = p
+            inside_m[i, i + 1, a] += p
 
     for span in range(2, n + 1):
-        i, k, js = _width(n, span)
-        L = inside_m[i[:, None], js]
-        R = inside_m[js, k[:, None]]
-        s = inside_s[i[:, None], js] + inside_s[js, k[:, None]]
-        s[(L.max(axis=2) == 0.0) | (R.max(axis=2) == 0.0)] = NEG_INF
-        m = s.max(axis=1)
-        m[m == NEG_INF] = 0.0  # no split with mass: every weight below is 0
-        w = np.exp(s - m[:, None])
-        pairs = (L * w[:, :, None]).transpose(0, 2, 1) @ R
-        cell = pairs.reshape(len(i), N * N) @ idx.pair_p
-        top = cell.max(axis=1)
-        live = top > 0.0
-        inside_m[i[live], k[live]] = cell[live] / top[live, None]
-        inside_s[i[live], k[live]] = m[live] + np.log(top[live])
+        i, k, lft, rgt = _width(n, span)
+        w, top = _shared_scale(inside_s.take(lft) + inside_s.take(rgt))
+        cell = _combine(_take(inside_m, lft) * w[:, :, None], _take(inside_m, rgt), idx.pair_p)
+        _store(inside_m, inside_s, i, k, cell, top)
     return Chart(grammar, tokens, inside_m, inside_s)
+
+
+def expected_counts(grammar, tokens, chart=None):
+    """Expected usage count per rule for one sentence, indexed by rule id.
+
+    count(r) = sum over applications of r of
+        outside(mother) * prob(r) * inside(daughters) / inside(root).
+
+    The reverse of cyk_fill: one pass over the chart, widest spans first,
+    fills the outside values of every cell of a width from its parents,
+    those where the cell is the left daughter and those where it is the
+    right one, gathered as one block under one shared scale per cell.  Every
+    binary application has exactly one left daughter, so the same step books
+    the counts of the applications whose left daughter is a cell of the
+    width.  outside(0, n, root) = 1.
+    """
+    if chart is None:
+        chart = cyk_fill(grammar, tokens)
+    root_lp = chart.sentence_logprob()
+    if root_lp == NEG_INF:
+        raise NoParseError("expected counts undefined: sentence has no parse")
+    idx = chart.index
+    n, N = chart.n, idx.n_nts
+    in_m, in_s = chart.inside_m, chart.inside_s
+    out_m = np.zeros_like(in_m)
+    out_s = np.full_like(in_s, NEG_INF)
+    out_m[0, n, idx.root_i] = 1.0
+    out_s[0, n] = 0.0
+    # rules by daughter: (left, right * N + mother), (right, left * N + mother)
+    by_left = idx.pair_p.reshape(N, N * N)
+    by_right = idx.pair_p.reshape(N, N, N).transpose(1, 0, 2).reshape(N, N * N)
+    booked = np.zeros((N, N * N))  # (left, right * N + mother)
+    counts = np.zeros(len(grammar.rules()))
+
+    W = n + 1  # flat cell ids, as in _take
+    for span in range(n - 1, 0, -1):
+        # a cell (i, k) has n - span parents, one per row h from k - n to
+        # i - 1: (i, W + h) with right sibling (k, W + h) for h < 0, then
+        # (h, k) with left sibling (h, i)
+        i = np.arange(n - span + 1)
+        k = i + span
+        ic, kc = i[:, None], k[:, None]
+        h = np.arange(n - span) + (kc - n)
+        left = h < 0
+        par = np.where(left, ic * W + W + h, h * W + kc)
+        sib = np.where(left, kc * W + W + h, h * W + ic)
+        w, top = _shared_scale(out_s.take(par) + in_s.take(sib))
+        parents, siblings = _take(out_m, par), _take(in_m, sib).transpose(0, 2, 1)
+        # (cells, sibling * N + mother) sums for the cell as either daughter
+        as_left = ((siblings * (w * left)[:, None, :]) @ parents).reshape(len(i), N * N)
+        as_right = ((siblings * (w * ~left)[:, None, :]) @ parents).reshape(len(i), N * N)
+        inside = in_m[i, k]
+        cell = as_left @ by_left.T + as_right @ by_right.T
+        cell[inside == 0.0] = 0.0  # in no derivation: never used below
+        _store(out_m, out_s, i, k, cell, top)
+
+        scale = top + in_s[i, k] - root_lp
+        low = scale <= _EXP_LIMIT
+        booked += (inside[low] * np.exp(scale[low])[:, None]).T @ as_left[low]
+        if not low.all():  # exp(scale) would overflow: book rule by rule in logs
+            high = ~low
+            with np.errstate(divide="ignore"):
+                logs = np.log(inside[high][:, idx.bin_b] * idx.bin_p
+                              * as_left[high][:, idx.bin_c * N + idx.bin_a])
+            counts[idx.bin_rid] += np.exp(logs + scale[high, None]).sum(axis=0)
+    counts[idx.bin_rid] += booked[idx.bin_b, idx.bin_c * N + idx.bin_a] * idx.bin_p
+    for i, tok in enumerate(chart.tokens):
+        base = out_s[i, i + 1] - root_lp
+        for a, p, rid in idx.lex[tok]:
+            m = out_m[i, i + 1, a]
+            if m > 0.0:
+                counts[rid] += math.exp(math.log(p) + math.log(m) + base)
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # Parse trees
 
-class ParseTree:
-    """Binary derivation tree; leaves hold the terminal token."""
+class Tree:
+    """Parse or gold tree; children mix subtrees and terminal tokens.  Walks
+    over it are iterative, so depth is not limited by the recursion limit."""
 
-    __slots__ = ("label", "children", "logprob")
+    __slots__ = ("label", "children")
 
-    def __init__(self, label, children, logprob):
+    def __init__(self, label, children):
         self.label = label
-        self.children = children
-        self.logprob = logprob
-
-    @property
-    def probability(self):
-        return math.exp(self.logprob)
-
-    def is_leaf(self):
-        return len(self.children) == 1 and isinstance(self.children[0], str)
+        self.children = tuple(children)
 
     def tokens(self):
-        if self.is_leaf():
-            return [self.children[0]]
-        out = []
-        for c in self.children:
-            out.extend(c.tokens())
-        return out
+        return [node for node in walk(self) if isinstance(node, str)]
 
     def __repr__(self):
         return tree_to_paren(self)
+
+
+def walk(tree):
+    """Depth-first walk: yields each subtree as it is entered, each token,
+    and None as each subtree is left."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Tree):
+            stack.append(None)
+            stack.extend(reversed(node.children))
 
 
 def viterbi_parse(chart, grammar=None):
@@ -314,20 +410,19 @@ def viterbi_parse(chart, grammar=None):
     if root_lp == NEG_INF:
         raise NoParseError("no parse for %r" % " ".join(chart.tokens))
     rules = grammar.rules()
-
-    def build(i, k, a):
-        lp = vit[i, k, a]
-        rid = int(bp_rule[i, k, a])
-        rule = rules[rid]
+    root = Tree(idx.nts[idx.root_i], ())
+    stack = [(root, 0, chart.n, idx.root_i)]
+    while stack:
+        node, i, k, a = stack.pop()
         if k - i == 1:
-            return ParseTree(idx.nts[a], (chart.tokens[i],), lp)
+            node.children = (chart.tokens[i],)
+            continue
+        rule = rules[bp_rule[i, k, a]]
         j = int(bp_split[i, k, a])
-        left = build(i, j, idx.nt_i[rule.left])
-        right = build(j, k, idx.nt_i[rule.right])
-        return ParseTree(idx.nts[a], (left, right), lp)
-
-    tree = build(0, chart.n, idx.root_i)
-    return tree, math.exp(root_lp)
+        node.children = (Tree(rule.left, ()), Tree(rule.right, ()))
+        stack.append((node.children[0], i, j, idx.nt_i[rule.left]))
+        stack.append((node.children[1], j, k, idx.nt_i[rule.right]))
+    return root, math.exp(root_lp)
 
 
 def count_parses(chart):
@@ -364,7 +459,7 @@ class ParseReport:
     all_log: float
     likelihood: float
     count: int
-    tree: ParseTree
+    tree: Tree
 
 
 def parse_report(grammar, tokens):
@@ -399,18 +494,28 @@ def format_report(report):
         report.likelihood, report.count)
 
 
+def _write(tree, opening, closing):
+    """Text of a tree: opening, then each child after a space (tokens as
+    they are), then closing; both are format strings of the label."""
+    out, labels = [], []
+    for node in walk(tree):
+        if node is None:
+            out.append(closing.format(labels.pop()))
+        elif isinstance(node, str):
+            out.append(" " + node)
+        else:
+            labels.append(node.label)
+            out.append(" " + opening.format(node.label))
+    return "".join(out)[1:]
+
+
 def tree_to_paren(tree):
-    if tree.is_leaf():
-        return "(%s %s)" % (tree.label, tree.children[0])
-    return "(%s %s)" % (tree.label, " ".join(tree_to_paren(c) for c in tree.children))
+    return _write(tree, "({}", ")")
 
 
 def tree_to_brackets(tree):
     """Square-bracket style with repeated closing labels."""
-    if tree.is_leaf():
-        return "[%s %s %s]" % (tree.label, tree.children[0], tree.label)
-    inner = " ".join(tree_to_brackets(c) for c in tree.children)
-    return "[%s %s %s]" % (tree.label, inner, tree.label)
+    return _write(tree, "[{}", " {}]")
 
 
 def format_tree(tree, style="paren"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chart import NoParseError, ParseError, cyk_fill, viterbi_parse
+from .chart import NoParseError, ParseError, Tree, cyk_fill, viterbi_parse, walk
 from .grammar import GrammarError
 
 
@@ -60,34 +60,6 @@ class CorpusScore:
 
 # ---------------------------------------------------------------------------
 # Trees and brackets
-
-class Tree:
-    """General n-ary tree; children mix subtrees and terminal tokens.
-
-    Parse trees from the chart module satisfy the same shape (label plus a
-    children tuple), so bracket extraction accepts either.
-    """
-
-    __slots__ = ("label", "children")
-
-    def __init__(self, label, children):
-        self.label = label
-        self.children = tuple(children)
-
-    def tokens(self):
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
-
-    def __repr__(self):
-        parts = [c if isinstance(c, str) else repr(c) for c in self.children]
-        return "(%s %s)" % (self.label, " ".join(parts))
-
 
 def parse_tree_text(text):
     """Read one bracketed tree in nested-parenthesis form '(Label child ...)'.
@@ -138,21 +110,16 @@ def load_gold_trees(path):
 
 def brackets_of(tree):
     """Spans of all internal nodes covering at least two words, deduplicated."""
-    spans = set()
-    end = 0  # words read so far
-    stack = [(end, iter(tree.children))]  # open nodes: (start, unread children)
-    while stack:
-        start, children = stack[-1]
-        for c in children:
-            if isinstance(c, str):
-                end += 1
-            else:
-                stack.append((end, iter(c.children)))
-                break
-        else:
-            stack.pop()
+    spans, starts, end = set(), [], 0  # end: words read so far
+    for node in walk(tree):
+        if node is None:
+            start = starts.pop()
             if end - start >= 2:
                 spans.add((start, end))
+        elif isinstance(node, str):
+            end += 1
+        else:
+            starts.append(end)
     return BracketSet(frozenset(spans), end)
 
 

@@ -1,20 +1,19 @@
 """Inside-outside re-estimation of CNF PCFG probabilities on an unbracketed
 corpus, with per-iteration pruning and convergence control.
 
-Expected rule counts come from one reverse pass over the inside chart, which
-fills outside values in the chart's scaled mantissa/log-scale representation
-and books each rule application's count as it goes.  Counts are summed per
-sentence in corpus order.
+Expected rule counts per sentence come from the chart module's reverse pass
+(chart.expected_counts), which fills outside values in the chart's scaled
+representation and books each rule application's count as it goes.  Counts
+are summed per sentence in corpus order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import NEG_INF, NoParseError, ParseError, cyk_fill
+from .chart import NEG_INF, NoParseError, ParseError, cyk_fill, expected_counts
 from .grammar import BinaryRule, CnfGrammar, GrammarError, LexRule
 from .metrics import corpus_logprobs
 
@@ -46,79 +45,6 @@ class TrainReport:
     skipped: int = 0
     coverage_before: float = 0.0
     coverage_after: float = 0.0
-
-
-def expected_counts(grammar, tokens, chart=None):
-    """Expected usage count per rule for one sentence, indexed by rule id.
-
-    count(r) = sum over applications of r of
-        outside(mother) * prob(r) * inside(daughters) / inside(root).
-
-    One reverse pass over the chart, widest spans first, pulls each cell's
-    outside values from its parents: those where the cell is the left
-    daughter and those where it is the right one, gathered in one array under
-    one shared scale.  Every binary application has exactly one left
-    daughter, so the same step books the counts of the applications whose
-    left daughter is the cell.  outside(0, n, root) = 1.
-    """
-    if chart is None:
-        chart = cyk_fill(grammar, tokens)
-    root_lp = chart.sentence_logprob()
-    if root_lp == NEG_INF:
-        raise NoParseError("expected counts undefined: sentence has no parse")
-    idx = chart.index
-    n = chart.n
-    in_m, in_s = chart.inside_m, chart.inside_s
-    out_m = np.zeros_like(in_m)
-    out_s = np.zeros_like(in_s)
-    out_m[0, n, idx.root_i] = 1.0
-    counts = np.zeros(len(grammar.rules()))
-
-    for span in range(n - 1, 0, -1):
-        for i in range(0, n - span + 1):
-            k = i + span
-            if in_m[i, k].max() == 0.0:
-                continue  # in no derivation, so its outside value is never used
-            # rows: parents (i, kk) with right sibling (k, kk), then parents
-            # (hh, k) with left sibling (hh, i)
-            left = n - k
-            kks, hhs = np.arange(k + 1, n + 1), np.arange(i)
-            par = (np.concatenate((np.full(left, i), hhs)), np.concatenate((kks, np.full(i, k))))
-            sib = (np.concatenate((np.full(left, k), hhs)), np.concatenate((kks, np.full(i, i))))
-            parents, siblings = out_m[par], in_m[sib]
-            valid = (parents.max(axis=1) > 0.0) & (siblings.max(axis=1) > 0.0)
-            if not valid.any():
-                continue
-            s = np.where(valid, out_s[par] + in_s[sib], NEG_INF)
-            top = s.max()
-            up = np.exp(s - top)[:, None] * parents[:, idx.bin_a]
-            as_left = (up[:left] * siblings[:left, idx.bin_c]).sum(axis=0) * idx.bin_p
-            as_right = (up[left:] * siblings[left:, idx.bin_b]).sum(axis=0) * idx.bin_p
-            cell = idx.group_b @ as_left + idx.group_c @ as_right
-            peak = cell.max()
-            if peak > 0.0:
-                out_m[i, k] = cell / peak
-                out_s[i, k] = top + math.log(peak)
-
-            # contributions are exponentiated only after their (bounded) logs
-            # are assembled, so very long, very improbable sentences cannot
-            # overflow intermediate factors
-            contrib = as_left * in_m[i, k, idx.bin_b]
-            pos = contrib > 0.0
-            if not pos.any():
-                continue
-            scale = top + in_s[i, k] - root_lp
-            if scale <= 0.0:
-                counts[idx.bin_rid[pos]] += contrib[pos] * math.exp(scale)
-            else:
-                counts[idx.bin_rid[pos]] += np.exp(np.log(contrib[pos]) + scale)
-    for i, tok in enumerate(tokens):
-        base = out_s[i, i + 1] - root_lp
-        for a, p, rid in idx.lex[tok]:
-            m = out_m[i, i + 1, a]
-            if m > 0.0:
-                counts[rid] += math.exp(math.log(p) + math.log(m) + base)
-    return counts
 
 
 def reestimate(grammar, counts):
@@ -240,10 +166,12 @@ def parse_rules(text, root=None):
     """Load a rule-per-line grammar; '#' lines and blank lines are ignored.
 
     Probabilities are taken verbatim (no renormalisation), so fixtures round
-    -trip exactly.  The default root is the first rule's mother.
+    -trip exactly, but each mother's must sum to 1 within 1e-6, or to 0 when
+    all its rules are zero.  The default root is the first rule's mother.
     """
     binary, lexical = [], []
     seen_rules = set()  # (mother, left, right) or (mother, word, "#")
+    totals = {}  # mother -> [line of its first rule, probability total]
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -263,31 +191,25 @@ def parse_rules(text, root=None):
         if (mother, d1, d2) in seen_rules:
             raise GrammarError("duplicate rule %s --> %s %s" % (mother, d1, d2), lineno)
         seen_rules.add((mother, d1, d2))
+        totals.setdefault(mother, [lineno, 0.0])[1] += prob
         if d2 == "#":
             lexical.append(LexRule(mother, d1, prob, origin))
         else:
             binary.append(BinaryRule(mother, d1, d2, prob, origin))
     if not binary and not lexical:
         raise GrammarError("no rules found")
+    for mother, (lineno, total) in totals.items():
+        # a mother whose rules were all pruned away keeps a total of zero
+        if total != 0.0 and abs(total - 1.0) > 1e-6:
+            raise GrammarError("probabilities of %s sum to %.9g, not 1" % (mother, total), lineno)
 
-    nts, seen = [], set()
-    for r in binary:
-        for sym in (r.mother, r.left, r.right):
-            if sym not in seen:
-                seen.add(sym)
-                nts.append(sym)
-    for r in lexical:
-        if r.mother not in seen:
-            seen.add(r.mother)
-            nts.append(r.mother)
-    terms, seen_t = [], set()
-    for r in lexical:
-        if r.word not in seen_t:
-            seen_t.add(r.word)
-            terms.append(r.word)
+    # symbols in order of first use
+    nts = dict.fromkeys([s for r in binary for s in (r.mother, r.left, r.right)]
+                        + [r.mother for r in lexical])
+    terms = dict.fromkeys(r.word for r in lexical)
     if root is None:
         root = binary[0].mother if binary else lexical[0].mother
-    return CnfGrammar(nts, terms, binary, lexical, root)
+    return CnfGrammar(list(nts), list(terms), binary, lexical, root)
 
 
 def load_rules(path, root=None):

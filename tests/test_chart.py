@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -113,6 +115,27 @@ class TestViterbi:
         assert tree_to_paren(tree) == "(S (S a) (S (S a) (S (S a) (S a))))"
         assert prob == pytest.approx(0.25 ** 3, rel=1e-12, abs=0)
 
+    def test_deep_chain_without_recursion(self):
+        # the parse of a 300-word right-linear chain is 300 levels deep; it
+        # is built, walked and printed under a recursion limit of 150 more
+        # frames than the test already uses
+        g = CnfGrammar(["S", "A"], ["a"],
+                       [BinaryRule("S", "A", "S", 0.5), BinaryRule("S", "A", "A", 0.5)],
+                       [LexRule("A", "a", 1.0)], root="S")
+        n = 300
+        chart = cyk_fill(g, ["a"] * n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            tree, _ = viterbi_parse(chart)
+            paren, brackets = format_tree(tree, "paren"), format_tree(tree, "appendix3")
+            tokens, text = tree.tokens(), repr(tree)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tokens == ["a"] * n
+        assert text == paren == "(S (A a) " * (n - 2) + "(S (A a) (A a))" + ")" * (n - 2)
+        assert brackets == "[S [A a A] " * (n - 2) + "[S [A a A] [A a A] S]" + " S]" * (n - 2)
+
     def test_viterbi_never_exceeds_inside(self, xbar_implicit, sentence14):
         chart = cyk_fill(xbar_implicit, sentence14)
         _, prob = viterbi_parse(chart, xbar_implicit)
@@ -136,13 +159,16 @@ class TestCounts:
         richer = count_parses(cyk_fill(xbar_implicit, sentence14))
         assert richer >= base
 
-    @pytest.mark.parametrize("n", [36, 37])
+    @pytest.mark.parametrize("n", [31, 32, 36, 37])
     def test_count_across_int64_range(self, n):
-        # Catalan(35) lies below 2^63 and Catalan(36) above it
+        # Catalan(30) lies below 2^53 and Catalan(31), which is odd, above
+        # it, where float64 is no longer exact; Catalan(35) lies below 2^63
+        # and Catalan(36) above it
         count = count_parses(cyk_fill(CATALAN_GRAMMAR, ["a"] * n))
         assert type(count) is int
         assert count == math.comb(2 * (n - 1), n - 1) // n
-        assert (count < 2 ** 63) == (n == 36)
+        assert (count < 2 ** 53) == (n <= 31)
+        assert (count < 2 ** 63) == (n <= 36)
 
     def test_count_zero_iff_inside_zero(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)
@@ -214,6 +240,16 @@ class TestReports:
 
 class TestOracleEquivalence:
     """Chart results must agree with exhaustive derivation enumeration."""
+
+    def test_duplicate_lexical_rules_add_up(self):
+        # two rules A -> a are two derivations of each word, each taking
+        # its own probability
+        g = CnfGrammar(["S", "A"], ["a"], [BinaryRule("S", "A", "A", 1.0)],
+                       [LexRule("A", "a", 0.5), LexRule("A", "a", 0.5)], root="S")
+        chart = cyk_fill(g, ["a", "a"])
+        derivs = enumerate_derivations(g, ["a", "a"])
+        assert count_parses(chart) == len(derivs) == 4
+        assert chart.sentence_prob() == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_against_bruteforce(self):
         rng = random.Random(1234)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from xpcfg.chart import cyk_fill, viterbi_parse
+from xpcfg.chart import cyk_fill, format_tree, viterbi_parse
 from xpcfg.generate import GenConfig, sample_corpus
 from xpcfg.grammar import GrammarError
 from xpcfg.scoring import (
@@ -57,11 +57,14 @@ class TestBrackets:
         # right-branching chain (S a (S a ... (S a b))), far deeper than the
         # interpreter's recursion limit
         depth = 5000
-        tree = parse_tree_text("(S a " * depth + "b" + ")" * depth)
+        text = "(S a " * depth + "b" + ")" * depth
+        tree = parse_tree_text(text)
         assert tree.tokens() == ["a"] * depth + ["b"]
         brackets = brackets_of(tree)
         assert brackets.length == depth + 1
         assert brackets.spans == {(i, depth + 1) for i in range(depth)}
+        assert repr(tree) == format_tree(tree, "paren") == text
+        assert format_tree(tree, "appendix3") == "[S a " * depth + "b" + " S]" * depth
 
     def test_read_gold_trees(self):
         trees = read_gold_trees("(S a b)\n\n(S (X a) b)\n")

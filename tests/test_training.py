@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bruteforce import enumerate_derivations, expected_usage, random_cnf_grammar
+from xpcfg import chart as chart_module
 from xpcfg import fixtures
 from xpcfg.chart import NEG_INF, NoParseError, count_parses, cyk_fill
 from xpcfg.generate import GenConfig, sample_corpus
@@ -85,6 +86,26 @@ class TestExpectedCounts:
         assert counts[0] == pytest.approx(n - 2, rel=1e-9)   # S -> A S
         assert counts[1] == pytest.approx(1.0, rel=1e-9)     # S -> A A
         assert counts[2] == pytest.approx(n, rel=1e-9)       # A -> a
+
+    def test_duplicate_lexical_rules(self):
+        g = CnfGrammar(["S", "A"], ["a"], [BinaryRule("S", "A", "A", 1.0)],
+                       [LexRule("A", "a", 0.5), LexRule("A", "a", 0.5)], root="S")
+        oracle = expected_usage(enumerate_derivations(g, ["a", "a"]), 3)
+        np.testing.assert_allclose(expected_counts(g, ["a", "a"]), oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(oracle, [1.0, 1.0, 1.0], rtol=1e-12)
+
+    def test_log_domain_booking(self, monkeypatch, xbar_implicit):
+        # cells whose scale could overflow exp() book their counts rule by
+        # rule in the log domain; booking every cell that way must give the
+        # same counts
+        tokens = "the cat chases the ball with the boy".split()
+        linear = expected_counts(xbar_implicit, tokens)
+        monkeypatch.setattr(chart_module, "_EXP_LIMIT", NEG_INF)
+        logs = expected_counts(xbar_implicit, tokens)
+        np.testing.assert_allclose(logs, linear, rtol=1e-12, atol=0)
+        oracle = expected_usage(enumerate_derivations(xbar_implicit, tokens),
+                                len(xbar_implicit.rules()))
+        np.testing.assert_allclose(logs, oracle, rtol=1e-9, atol=1e-15)
 
     def test_randomized_against_bruteforce(self):
         rng = random.Random(77)
@@ -276,6 +297,14 @@ class TestRuleSerialization:
             parse_rules("S --> A A 1.0 explicit\nS --> A A 1.0 explicit\nA --> a # 1.0 explicit\n")
         with pytest.raises(GrammarError, match="line 3"):
             parse_rules("S --> A A 1.0 explicit\nA --> a # 0.5 explicit\nA --> a # 0.5 explicit\n")
+        # each mother's probabilities must sum to 1; the error names the
+        # mother and the line of its first rule
+        with pytest.raises(GrammarError, match=r"line 2: probabilities of A sum to 0\.7,"):
+            parse_rules("S --> A A 1.0 explicit\nA --> a # 0.5 explicit\nA --> b # 0.2 explicit\n")
+        with pytest.raises(GrammarError, match="line 1: probabilities of S"):
+            parse_rules("S --> A A 0.999 explicit\nA --> a # 1.0 explicit\n")
+        # within 1e-6 is accepted, and so is a mother whose rules are all zero
+        parse_rules("S --> A A 0.9999999 explicit\nA --> a # 1.0 explicit\nB --> a # 0.0 explicit\n")
 
     def test_trained_fixture_parses_14_words(self, sentence14):
         g = parse_rules(fixtures.trained_rules_text(), root="V2")
