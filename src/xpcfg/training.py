@@ -149,14 +149,16 @@ def save_rules(grammar, path, include_zero=False):
 
         M --> D1 D2 <prob> <explicit|implicit>
         M --> word # <prob> <explicit|implicit>
+
+    Probabilities are written in full, so loading the file gives them back.
     """
     lines = []
     for r in grammar.binary:
         if include_zero or r.prob > 0.0:
-            lines.append("%s --> %s %s %.8f %s" % (r.mother, r.left, r.right, r.prob, r.origin))
+            lines.append("%s --> %s %s %r %s" % (r.mother, r.left, r.right, float(r.prob), r.origin))
     for r in grammar.lexical:
         if include_zero or r.prob > 0.0:
-            lines.append("%s --> %s # %.8f %s" % (r.mother, r.word, r.prob, r.origin))
+            lines.append("%s --> %s # %r %s" % (r.mother, r.word, float(r.prob), r.origin))
     text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
@@ -171,7 +173,7 @@ def parse_rules(text, root=None):
     """
     binary, lexical = [], []
     seen_rules = set()  # (mother, left, right) or (mother, word, "#")
-    totals = {}  # mother -> [line of its first rule, probability total]
+    first_line = {}  # mother -> line of its first rule
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -191,25 +193,38 @@ def parse_rules(text, root=None):
         if (mother, d1, d2) in seen_rules:
             raise GrammarError("duplicate rule %s --> %s %s" % (mother, d1, d2), lineno)
         seen_rules.add((mother, d1, d2))
-        totals.setdefault(mother, [lineno, 0.0])[1] += prob
+        first_line.setdefault(mother, lineno)
         if d2 == "#":
             lexical.append(LexRule(mother, d1, prob, origin))
         else:
             binary.append(BinaryRule(mother, d1, d2, prob, origin))
     if not binary and not lexical:
         raise GrammarError("no rules found")
-    for mother, (lineno, total) in totals.items():
-        # a mother whose rules were all pruned away keeps a total of zero
-        if total != 0.0 and abs(total - 1.0) > 1e-6:
-            raise GrammarError("probabilities of %s sum to %.9g, not 1" % (mother, total), lineno)
 
-    # symbols in order of first use
-    nts = dict.fromkeys([s for r in binary for s in (r.mother, r.left, r.right)]
-                        + [r.mother for r in lexical])
-    terms = dict.fromkeys(r.word for r in lexical)
+    nts, seen = [], set()
+    for r in binary:
+        for sym in (r.mother, r.left, r.right):
+            if sym not in seen:
+                seen.add(sym)
+                nts.append(sym)
+    for r in lexical:
+        if r.mother not in seen:
+            seen.add(r.mother)
+            nts.append(r.mother)
+    terms, seen_t = [], set()
+    for r in lexical:
+        if r.word not in seen_t:
+            seen_t.add(r.word)
+            terms.append(r.word)
     if root is None:
         root = binary[0].mother if binary else lexical[0].mother
-    return CnfGrammar(list(nts), list(terms), binary, lexical, root)
+    grammar = CnfGrammar(nts, terms, binary, lexical, root)
+    for mother, total in grammar.mother_totals().items():
+        # a mother whose rules were all pruned away keeps a total of zero
+        if total != 0.0 and abs(total - 1.0) > 1e-6:
+            raise GrammarError("probabilities of %s sum to %.9g, not 1" % (mother, total),
+                               first_line[mother])
+    return grammar
 
 
 def load_rules(path, root=None):

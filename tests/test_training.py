@@ -260,13 +260,19 @@ class TestLogLikelihood:
 
 class TestRuleSerialization:
     def test_round_trip(self, xbar_implicit, tmp_path):
-        path = tmp_path / "g.rules"
-        save_rules(xbar_implicit, path)
-        loaded = load_rules(path, root="V2")
-        assert len(loaded.rules()) == len(xbar_implicit.rules())
-        for a, b in zip(xbar_implicit.rules(), loaded.rules()):
-            assert a.mother == b.mother and a.origin == b.origin
-            assert b.prob == pytest.approx(a.prob, abs=5e-9)
+        # a mother with 217 rules of 1/217 each would sum 1.1e-6 short of 1
+        # if its probabilities were rounded to 8 decimals
+        words = ["w%d" % i for i in range(217)]
+        lexical = [LexRule("S", w, 1 / 217, "explicit") for w in words]
+        wide = CnfGrammar(["S"], words, [], lexical, "S")
+        for grammar in (xbar_implicit, wide):
+            path = tmp_path / "g.rules"
+            save_rules(grammar, path)
+            loaded = load_rules(path, root=grammar.root)
+            assert len(loaded.rules()) == len(grammar.rules())
+            for a, b in zip(grammar.rules(), loaded.rules()):
+                assert a.mother == b.mother and a.origin == b.origin
+                assert b.prob == a.prob
 
     def test_trained_fixture_loads(self):
         g = parse_rules(fixtures.trained_rules_text(), root="V2")
