@@ -38,6 +38,7 @@ from .chart import (
 )
 from .training import (
     TrainConfig,
+    IterationReport,
     TrainReport,
     expected_counts,
     load_rules,

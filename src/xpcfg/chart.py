@@ -13,6 +13,14 @@ Every pass fills the chart one span width at a time, widest first for the
 reverse pass: the daughters (or the parents and siblings) of all cells of
 the width are gathered as (cells, splits, nonterminals) blocks and combined
 by a few array operations, so no pass loops over cells in Python.
+
+The inside and reverse passes run on a batch of B sentences of one length n
+at a time, laid out as one (B, n, n + 1, N) table: flat cell ids only gain
+an offset of b * n * (n + 1), so each span width is one gather per side and
+one set of matrix products for the whole batch.  A single sentence is a
+batch of one (cyk_fill, expected_counts); fill_batches cuts a corpus into
+batches of bounded size.  Viterbi search and derivation counting run on one
+sentence's chart.
 """
 
 from __future__ import annotations
@@ -28,6 +36,18 @@ NEG_INF = float("-inf")
 # tiled to at most this many elements, which bounds the pass's peak memory
 # on long sentences
 _VITERBI_BLOCK = 2 ** 14
+
+# a batch of B sentences of length n fills (B, n, n + 1, N) tables, and its
+# widest per-width blocks hold up to about B * n * (n + 1) * N^2 elements:
+# batches are cut to at most this many (a longer sentence is a batch of
+# one), which bounds the passes' peak memory on large corpora
+_BATCH_BLOCK = 2 ** 17
+
+# the ids that _width computes are kept for sentences up to this length
+# (at most 0.8 MB in all), which takes most of the per-width overhead out of
+# the passes over short sentences
+_CACHED_LENGTH = 32
+_WIDTHS = {}
 
 # the reverse pass books a cell's rule counts in the log domain when exp()
 # of its scale relative to the sentence probability could overflow
@@ -90,11 +110,33 @@ class _Index:
         self.mother_logp = np.append(self.bin_logp, NEG_INF)[slots][:, :, None]
         self.mother_rid = np.append(self.bin_rid, -1)[slots]
 
-        self.lex = {}
+        # live lexical rules: word id (in order of first use), mother,
+        # probability and rule id; then (words, N) tables of the span of one
+        # word: inside values, derivation counts, and the best rule (the
+        # lowest id among ties) with its log-probability
+        self.word_i = {}
+        W, A, P, rid = [], [], [], []
         nb = len(grammar.binary)
         for i, r in enumerate(grammar.lexical):
             if r.prob > 0.0:
-                self.lex.setdefault(r.word, []).append((self.nt_i[r.mother], r.prob, nb + i))
+                W.append(self.word_i.setdefault(r.word, len(self.word_i)))
+                A.append(self.nt_i[r.mother])
+                P.append(r.prob)
+                rid.append(nb + i)
+        self.lex_w = np.asarray(W, dtype=np.int64)
+        self.lex_a = np.asarray(A, dtype=np.int64)
+        self.lex_p = np.asarray(P, dtype=np.float64)
+        self.lex_rid = np.asarray(rid, dtype=np.int64)
+        V = len(self.word_i)
+        self.word_p, self.word_n = np.zeros((V, N)), np.zeros((V, N))
+        np.add.at(self.word_p, (self.lex_w, self.lex_a), self.lex_p)
+        np.add.at(self.word_n, (self.lex_w, self.lex_a), 1.0)
+        self.word_logp = np.full((V, N), NEG_INF)
+        self.word_rid = np.full((V, N), -1, dtype=np.int64)
+        for w, a, p, r in zip(W, A, P, rid):
+            if math.log(p) > self.word_logp[w, a]:
+                self.word_logp[w, a] = math.log(p)
+                self.word_rid[w, a] = r
 
 
 def _index(grammar):
@@ -106,10 +148,11 @@ def _index(grammar):
 
 
 class Chart:
-    """Packed chart over half-open spans (start, end).
+    """Packed chart over half-open spans (start, end) of one sentence.
 
-    Cell values are exposed through inside()/inside_log(); Viterbi tables and
-    derivation counts are computed lazily on first use.
+    Cell values are exposed through inside()/inside_log(), whose tables are
+    views into the (B, n, n + 1, N) tables of the batch it was filled in;
+    Viterbi tables and derivation counts are computed lazily on first use.
     """
 
     def __init__(self, grammar, tokens, inside_m, inside_s):
@@ -147,25 +190,23 @@ class Chart:
         vit = np.full((n, n + 1, N), NEG_INF)
         bp_rule = np.full((n, n + 1, N), -1, dtype=np.int64)
         bp_split = np.full((n, n + 1, N), -1, dtype=np.int64)
-        for i, tok in enumerate(self.tokens):
-            for a, p, rid in idx.lex[tok]:
-                lp = math.log(p)
-                if lp > vit[i, i + 1, a]:
-                    vit[i, i + 1, a] = lp
-                    bp_rule[i, i + 1, a] = rid
+        flat_vit, flat_rule, flat_split = (t.reshape(-1, N) for t in (vit, bp_rule, bp_split))
+        words = [idx.word_i[tok] for tok in self.tokens]
+        flat_vit[1::n + 2] = idx.word_logp[words]  # cells (i, i + 1), as in _fill
+        flat_rule[1::n + 2] = idx.word_rid[words]
         K = idx.max_rules
         for span in range(2, n + 1) if K else ():
-            i, k, lft, rgt = _width(n, span)
+            cells, lft, rgt = _width(n, span)
             splits = span - 1
             tile = max(1, _VITERBI_BLOCK // (splits * N * K))
-            for t in range(0, len(i), tile):
-                it, kt = i[t:t + tile], k[t:t + tile]
+            for t in range(0, len(cells), tile):
+                ct = cells[t:t + tile]
                 best, rid, split = _viterbi_block(
                     idx, _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile]))
                 live = best > NEG_INF
-                vit[it, kt] = best
-                bp_rule[it, kt] = np.where(live, rid, -1)
-                bp_split[it, kt] = np.where(live, it[:, None] + 1 + split, -1)
+                flat_vit[ct] = best
+                flat_rule[ct] = np.where(live, rid, -1)
+                flat_split[ct] = np.where(live, (ct // (n + 1))[:, None] + 1 + split, -1)
         self._vit = (vit, bp_rule, bp_split)
 
     def viterbi_tables(self):
@@ -183,11 +224,9 @@ class Chart:
         idx = self.index
         n, N = self.n, idx.n_nts
         counts, rules = np.zeros((n, n + 1, N)), idx.pair_n
-        for i, tok in enumerate(self.tokens):
-            for a, _p, _rid in idx.lex[tok]:
-                counts[i, i + 1, a] += 1.0
+        counts.reshape(-1, N)[1::n + 2] = idx.word_n[[idx.word_i[tok] for tok in self.tokens]]
         for span in range(2, n + 1):
-            i, k, lft, rgt = _width(n, span)
+            cells, lft, rgt = _width(n, span)
             cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
             # float64 sums of non-negative integers are exact below 2^53 and
             # reach 2^53 only where the exact sums do: from the first width
@@ -196,7 +235,7 @@ class Chart:
                 counts = counts.astype(np.int64).astype(object)
                 rules = rules.astype(np.int64).astype(object)
                 cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
-            counts[i, k] = cell
+            counts.reshape(-1, N)[cells] = cell
         self._counts = counts
 
     def count(self, start, end, label):
@@ -205,19 +244,33 @@ class Chart:
         return int(self._counts[start, end, self.index.nt_i[label]])
 
 
-def _width(n, span):
-    """Cells (i, k = i + span) of one span width, and the flat ids of their
-    left and right daughters (i, j) and (j, k) at each split j, as
-    (cells, splits) arrays."""
-    i = np.arange(n - span + 1)
-    k = i + span
-    js = i[:, None] + np.arange(1, span)
-    return i, k, i[:, None] * (n + 1) + js, js * (n + 1) + k[:, None]
+def _width(n, span, batch=1):
+    """Cells (i, k = i + span) of one span width in each of a batch of
+    sentences of length n, and their left and right daughters (i, j) and
+    (j, k) at each split j, by flat id b * n * (n + 1) + start * (n + 1) + end
+    in sentence b: cells (batch * cells,) and daughters (batch * cells,
+    splits), cell by cell, sentence after sentence."""
+    ids = _WIDTHS.get((n, span))
+    if ids is None:
+        i = np.arange(n - span + 1)
+        k = i + span
+        js = i[:, None] + np.arange(1, span)
+        ids = i * (n + 1) + k, i[:, None] * (n + 1) + js, js * (n + 1) + k[:, None]
+        if n <= _CACHED_LENGTH:
+            for a in ids:
+                a.flags.writeable = False
+            _WIDTHS[n, span] = ids
+    if batch == 1:
+        return ids
+    off = np.arange(0, batch * n * (n + 1), n * (n + 1))[:, None]
+    cells, lft, rgt = ids
+    return ((off + cells).reshape(-1), (off[:, :, None] + lft).reshape(-1, span - 1),
+            (off[:, :, None] + rgt).reshape(-1, span - 1))
 
 
 def _take(m, ids):
-    """Cells of a chart table m of shape (n, n + 1, N) by flat id
-    start * (n + 1) + end."""
+    """Cells of a chart table m of shape (n, n + 1, N), or (B, n, n + 1, N)
+    for a batch, by flat id (see _width)."""
     return m.reshape(-1, m.shape[-1]).take(ids, axis=0)
 
 
@@ -254,17 +307,66 @@ def _shared_scale(s):
     return np.exp(s - top[:, None]), top
 
 
-def _store(m, s, i, k, cell, top):
-    """Store values cell (cells, N) under log-scales top at cells (i, k) as
-    mantissas with maximum 1; cells with no mass keep scale -inf."""
+def _store(m, s, ids, cell, top):
+    """Store values cell (cells, N) under log-scales top at the cells of flat
+    ids as mantissas with maximum 1; cells with no mass keep scale -inf."""
     peak = cell.max(axis=1)
     live = peak > 0.0
-    m[i[live], k[live]] = cell[live] / peak[live, None]
-    s[i[live], k[live]] = top[live] + np.log(peak[live])
+    ids = ids[live]
+    m.reshape(-1, m.shape[-1])[ids] = cell[live] / peak[live, None]
+    s.reshape(-1)[ids] = top[live] + np.log(peak[live])
+
+
+@dataclass
+class Batch:
+    """Inside tables of B sentences of one length n: mantissas (B, n, n + 1, N)
+    and log-scales (B, n, n + 1), with the sentences' word ids (B, n) and
+    root log-probabilities (NEG_INF for a sentence with no parse)."""
+    sentences: list
+    words: np.ndarray
+    inside_m: np.ndarray
+    inside_s: np.ndarray
+    logprobs: list
+
+
+def _fill(idx, sentences):
+    """Inside pass over a batch of in-vocabulary token sequences of one
+    length n: each span width is one gather, one shared scale and one
+    combine over the cells of every sentence."""
+    words = np.array([[idx.word_i[tok] for tok in tokens] for tokens in sentences])
+    B, n = words.shape
+    m = np.zeros((B, n, n + 1, idx.n_nts))
+    s = np.full((B, n, n + 1), NEG_INF)
+    # cells (i, i + 1) are every (n + 2)-th cell from (0, 1)
+    m.reshape(B, -1, idx.n_nts)[:, 1::n + 2] = idx.word_p[words]
+    s.reshape(B, -1)[:, 1::n + 2] = 0.0
+    for span in range(2, n + 1):
+        cells, lft, rgt = _width(n, span, B)
+        w, top = _shared_scale(s.take(lft) + s.take(rgt))
+        _store(m, s, cells, _combine(_take(m, lft) * w[:, :, None], _take(m, rgt), idx.pair_p), top)
+    root = m[:, 0, n, idx.root_i].tolist()
+    logprobs = [math.log(r) + t if r else NEG_INF for r, t in zip(root, s[:, 0, n].tolist())]
+    return Batch(sentences, words, m, s, logprobs)
+
+
+def fill_batches(grammar, sentences):
+    """Inside pass over distinct token sequences, a batch of one length at a
+    time; yields each Batch.  Batches are cut to _BATCH_BLOCK elements, and
+    empty sentences and those with a token outside the vocabulary are left
+    out."""
+    idx = _index(grammar)
+    by_length = {}
+    for tokens in sentences:
+        if tokens and all(tok in idx.word_i for tok in tokens):
+            by_length.setdefault(len(tokens), []).append(tokens)
+    for n, group in by_length.items():
+        size = max(1, _BATCH_BLOCK // (n * (n + 1) * idx.n_nts ** 2))
+        for at in range(0, len(group), size):
+            yield _fill(idx, group[at:at + size])
 
 
 def cyk_fill(grammar, tokens):
-    """Fill the inside chart for a token sequence.
+    """Fill the inside chart for a token sequence: a batch of one.
 
     Raises ParseError naming the first token outside the grammar's terminal
     vocabulary.  Runtime is O(n^3 * |rules|); inside values use the scaled
@@ -274,57 +376,65 @@ def cyk_fill(grammar, tokens):
     if not tokens:
         raise ParseError("cannot parse an empty sentence")
     idx = _index(grammar)
-    n, N = len(tokens), idx.n_nts
-    inside_m = np.zeros((n, n + 1, N))
-    inside_s = np.full((n, n + 1), NEG_INF)
     for i, tok in enumerate(tokens):
-        if tok not in idx.lex:
+        if tok not in idx.word_i:
             raise ParseError("unknown token %r at position %d" % (tok, i))
-        inside_s[i, i + 1] = 0.0
-        for a, p, _rid in idx.lex[tok]:
-            inside_m[i, i + 1, a] += p
-
-    for span in range(2, n + 1):
-        i, k, lft, rgt = _width(n, span)
-        w, top = _shared_scale(inside_s.take(lft) + inside_s.take(rgt))
-        cell = _combine(_take(inside_m, lft) * w[:, :, None], _take(inside_m, rgt), idx.pair_p)
-        _store(inside_m, inside_s, i, k, cell, top)
-    return Chart(grammar, tokens, inside_m, inside_s)
+    batch = _fill(idx, [tokens])
+    return Chart(grammar, tokens, batch.inside_m[0], batch.inside_s[0])
 
 
 def expected_counts(grammar, tokens, chart=None):
-    """Expected usage count per rule for one sentence, indexed by rule id.
-
-    count(r) = sum over applications of r of
-        outside(mother) * prob(r) * inside(daughters) / inside(root).
-
-    The reverse of cyk_fill: one pass over the chart, widest spans first,
-    fills the outside values of every cell of a width from its parents,
-    those where the cell is the left daughter and those where it is the
-    right one, gathered as one block under one shared scale per cell.  Every
-    binary application has exactly one left daughter, so the same step books
-    the counts of the applications whose left daughter is a cell of the
-    width.  outside(0, n, root) = 1.
-    """
+    """Expected usage count per rule for one sentence, indexed by rule id:
+    batch_counts on a batch of one."""
     if chart is None:
         chart = cyk_fill(grammar, tokens)
     root_lp = chart.sentence_logprob()
     if root_lp == NEG_INF:
         raise NoParseError("expected counts undefined: sentence has no parse")
     idx = chart.index
-    n, N = chart.n, idx.n_nts
-    in_m, in_s = chart.inside_m, chart.inside_s
+    words = np.array([[idx.word_i[tok] for tok in chart.tokens]])
+    counts = np.zeros(len(grammar.rules()))
+    batch_counts(grammar, Batch([chart.tokens], words, chart.inside_m[None],
+                                chart.inside_s[None], [root_lp]), [1.0], counts)
+    return counts
+
+
+def batch_counts(grammar, batch, weights, counts):
+    """Add to counts (indexed by rule id) weights[b] times the expected usage
+    count of each rule in each parseable sentence b of a batch:
+
+    count(r) = sum over applications of r of
+        outside(mother) * prob(r) * inside(daughters) / inside(root).
+
+    The reverse of the inside pass: one pass over the batch's chart, widest
+    spans first, fills the outside values of every cell of a width from its
+    parents, those where the cell is the left daughter and those where it is
+    the right one, gathered as one block under one shared scale per cell.
+    Every binary application has exactly one left daughter, so the same step
+    books the counts of the applications whose left daughter is a cell of
+    the width.  outside(0, n, root) = 1.
+    """
+    live = [b for b, lp in enumerate(batch.logprobs) if lp != NEG_INF]
+    if not live:
+        return
+    in_m, in_s, words = batch.inside_m, batch.inside_s, batch.words
+    if len(live) < len(batch.logprobs):
+        in_m, in_s, words = in_m[live], in_s[live], words[live]
+    root_lp = np.array([batch.logprobs[b] for b in live])
+    weight = np.array([weights[b] for b in live], dtype=np.float64)
+    idx = _index(grammar)
+    B, n, W, N = in_m.shape
     out_m = np.zeros_like(in_m)
     out_s = np.full_like(in_s, NEG_INF)
-    out_m[0, n, idx.root_i] = 1.0
-    out_s[0, n] = 0.0
+    out_m[:, 0, n, idx.root_i] = 1.0
+    out_s[:, 0, n] = 0.0
+    flat_in, flat_out = in_m.reshape(-1, N), out_m.reshape(-1, N)
     # rules by daughter: (left, right * N + mother), (right, left * N + mother)
     by_left = idx.pair_p.reshape(N, N * N)
     by_right = idx.pair_p.reshape(N, N, N).transpose(1, 0, 2).reshape(N, N * N)
     booked = np.zeros((N, N * N))  # (left, right * N + mother)
-    counts = np.zeros(len(grammar.rules()))
 
-    W = n + 1  # flat cell ids, as in _take
+    off = np.arange(0, B * n * W, n * W)[:, None, None]  # flat ids, as in _width
     for span in range(n - 1, 0, -1):
         # a cell (i, k) has n - span parents, one per row h from k - n to
         # i - 1: (i, W + h) with right sibling (k, W + h) for h < 0, then
@@ -334,35 +444,41 @@ def expected_counts(grammar, tokens, chart=None):
         ic, kc = i[:, None], k[:, None]
         h = np.arange(n - span) + (kc - n)
         left = h < 0
-        par = np.where(left, ic * W + W + h, h * W + kc)
-        sib = np.where(left, kc * W + W + h, h * W + ic)
+        rows = n - span
+        par = (off + np.where(left, ic * W + W + h, h * W + kc)).reshape(-1, rows)
+        sib = (off + np.where(left, kc * W + W + h, h * W + ic)).reshape(-1, rows)
+        cells = (off[:, :, 0] + i * W + k).reshape(-1)
         w, top = _shared_scale(out_s.take(par) + in_s.take(sib))
-        parents, siblings = _take(out_m, par), _take(in_m, sib).transpose(0, 2, 1)
+        w = w.reshape(B, -1, rows)
+        w_left, w_right = (w * left).reshape(-1, 1, rows), (w * ~left).reshape(-1, 1, rows)
+        parents, siblings = flat_out.take(par, axis=0), flat_in.take(sib, axis=0).transpose(0, 2, 1)
         # (cells, sibling * N + mother) sums for the cell as either daughter
-        as_left = ((siblings * (w * left)[:, None, :]) @ parents).reshape(len(i), N * N)
-        as_right = ((siblings * (w * ~left)[:, None, :]) @ parents).reshape(len(i), N * N)
-        inside = in_m[i, k]
+        as_left = ((siblings * w_left) @ parents).reshape(len(cells), N * N)
+        as_right = ((siblings * w_right) @ parents).reshape(len(cells), N * N)
+        inside = flat_in[cells]
         cell = as_left @ by_left.T + as_right @ by_right.T
         cell[inside == 0.0] = 0.0  # in no derivation: never used below
-        _store(out_m, out_s, i, k, cell, top)
+        _store(out_m, out_s, cells, cell, top)
 
-        scale = top + in_s[i, k] - root_lp
+        scale = top + in_s.reshape(-1)[cells] - np.repeat(root_lp, len(i))
+        mult = np.repeat(weight, len(i))
         low = scale <= _EXP_LIMIT
-        booked += (inside[low] * np.exp(scale[low])[:, None]).T @ as_left[low]
+        booked += (inside[low] * (np.exp(scale[low]) * mult[low])[:, None]).T @ as_left[low]
         if not low.all():  # exp(scale) would overflow: book rule by rule in logs
             high = ~low
             with np.errstate(divide="ignore"):
                 logs = np.log(inside[high][:, idx.bin_b] * idx.bin_p
                               * as_left[high][:, idx.bin_c * N + idx.bin_a])
-            counts[idx.bin_rid] += np.exp(logs + scale[high, None]).sum(axis=0)
+            counts[idx.bin_rid] += (np.exp(logs + scale[high, None])
+                                    * mult[high, None]).sum(axis=0)
     counts[idx.bin_rid] += booked[idx.bin_b, idx.bin_c * N + idx.bin_a] * idx.bin_p
-    for i, tok in enumerate(chart.tokens):
-        base = out_s[i, i + 1] - root_lp
-        for a, p, rid in idx.lex[tok]:
-            m = out_m[i, i + 1, a]
-            if m > 0.0:
-                counts[rid] += math.exp(math.log(p) + math.log(m) + base)
-    return counts
+    # lexical rules: outside(i, i + 1, a) / inside(root) summed per word,
+    # times each rule's probability; cells (i, i + 1) as in _fill
+    scale = out_s.reshape(B, -1)[:, 1::n + 2] - root_lp[:, None]
+    by_word = np.zeros((len(idx.word_i), N))
+    np.add.at(by_word, words, out_m.reshape(B, -1, N)[:, 1::n + 2]
+              * (np.exp(scale) * weight[:, None])[:, :, None])
+    counts[idx.lex_rid] += by_word[idx.lex_w, idx.lex_a] * idx.lex_p
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,13 @@ def cmd_train(args):
     corpus = load_corpus(args.corpus)
     config = TrainConfig(max_iterations=args.max_iter, convergence_tol=args.tol,
                          prune_threshold=args.prune)
-    report = train(cnf, corpus, config)
-    for i, ll in enumerate(report.log_likelihoods, start=1):
+
+    def show(step):
         print("iteration %d: log-likelihood %.6f, %d nonzero rules"
-              % (i, ll, report.nonzero_rules[i - 1]))
+              % (step.iteration, step.log_likelihood, step.explicit_rules + step.implicit_rules),
+              flush=True)
+
+    report = train(cnf, corpus, config, on_iteration=show)
     ne, ni = report.grammar.nonzero_counts()
     print("%s after %d iterations: %d nonzero rules (%d explicit + %d implicit)"
           % ("converged" if report.converged else "stopped",

@@ -48,40 +48,54 @@ def sample_corpus(grammar, config):
     output is reproducible for a fixed seed.
     """
     config.validate()
-    rng = random.Random(config.seed)
+    draw = random.Random(config.seed).random
     table, totals = _rule_table(grammar)
+    max_depth, max_length = config.max_depth, config.max_length
 
-    def expand(symbol, depth, out):
-        if depth > config.max_depth or len(out) > config.max_length:
-            return False
-        rules = table.get(symbol)
-        if not rules:
-            return False
-        pick = rng.random() * totals[symbol]
-        acc = 0.0
-        chosen = rules[-1]
-        for r in rules:
-            acc += r.prob
-            if pick <= acc:
-                chosen = r
-                break
-        if isinstance(chosen, LexRule):
-            out.append(chosen.word)
-            return len(out) <= config.max_length
-        return expand(chosen.left, depth + 1, out) and expand(chosen.right, depth + 1, out)
+    def expand(symbol):
+        """One derivation's words, or None when it breaks a cap.  Nodes are
+        expanded depth first, left before right: the left daughter at once,
+        the right one from an explicit stack, so depth is not limited by the
+        recursion limit."""
+        out, stack, depth = [], [], 1
+        while True:
+            if depth > max_depth or len(out) > max_length:
+                return None
+            rules = table.get(symbol)
+            if not rules:
+                return None
+            pick = draw() * totals[symbol]
+            acc = 0.0
+            chosen = rules[-1]
+            for r in rules:
+                acc += r.prob
+                if pick <= acc:
+                    chosen = r
+                    break
+            if isinstance(chosen, LexRule):
+                out.append(chosen.word)
+                if len(out) > max_length:
+                    return None
+                if not stack:
+                    return out
+                symbol, depth = stack.pop()
+            else:
+                depth += 1
+                stack.append((chosen.right, depth))
+                symbol = chosen.left
 
     corpus = []
     budget = _MAX_REJECTIONS_PER_SENTENCE * config.count
     while len(corpus) < config.count:
-        out = []
-        if expand(grammar.root, 1, out):
+        out = expand(grammar.root)
+        if out is not None:
             corpus.append(out)
         else:
             budget -= 1
             if budget <= 0:
                 raise GenerationError(
                     "grammar did not produce %d sentences within depth %d / length %d caps"
-                    % (config.count, config.max_depth, config.max_length))
+                    % (config.count, max_depth, max_length))
     return corpus
 
 

@@ -14,6 +14,9 @@ on; pass base=2 for bits per word.
 Unparseable sentences are excluded from both sums and reported in the
 ``skipped`` count; assigning them probability zero would make both measures
 infinite.
+
+Sentence log-probabilities come from one inside pass per distinct sentence,
+in batches of one length (chart.fill_batches), mapped back to corpus order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chart import NEG_INF, NoParseError, ParseError, cyk_fill
+from .chart import NEG_INF, NoParseError, fill_batches
 
 
 @dataclass
@@ -35,14 +38,13 @@ class EntropyReport:
 
 def corpus_logprobs(grammar, corpus):
     """Natural-log probability of each sentence, in corpus order; NEG_INF
-    for a sentence with no parse or with a token outside the vocabulary."""
-    out = []
-    for tokens in corpus:
-        try:
-            out.append(cyk_fill(grammar, tokens).sentence_logprob())
-        except ParseError:
-            out.append(NEG_INF)
-    return out
+    for a sentence with no parse or with a token outside the vocabulary.
+    Each distinct sentence is parsed once, in batches of one length."""
+    corpus = [tuple(tokens) for tokens in corpus]
+    logprob = {}
+    for batch in fill_batches(grammar, dict.fromkeys(corpus)):
+        logprob.update(zip(batch.sentences, batch.logprobs))
+    return [logprob.get(tokens, NEG_INF) for tokens in corpus]
 
 
 def entropy(grammar, corpus, base=None):

@@ -1,19 +1,22 @@
 """Inside-outside re-estimation of CNF PCFG probabilities on an unbracketed
 corpus, with per-iteration pruning and convergence control.
 
-Expected rule counts per sentence come from the chart module's reverse pass
-(chart.expected_counts), which fills outside values in the chart's scaled
-representation and books each rule application's count as it goes.  Counts
-are summed per sentence in corpus order.
+Each E-step walks the distinct sentences of the corpus, batched by length
+(chart.fill_batches).  Expected rule counts come from the chart module's
+reverse pass over each batch (chart.batch_counts), which fills outside values
+in the chart's scaled representation and books each rule application's
+count, times the sentence's multiplicity in the corpus, as it goes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import NEG_INF, NoParseError, ParseError, cyk_fill, expected_counts
+from .chart import NEG_INF, NoParseError, batch_counts, fill_batches
+from .chart import expected_counts  # noqa: F401  (re-exported: per-sentence counts)
 from .grammar import BinaryRule, CnfGrammar, GrammarError, LexRule
 from .metrics import corpus_logprobs
 
@@ -45,6 +48,19 @@ class TrainReport:
     skipped: int = 0
     coverage_before: float = 0.0
     coverage_after: float = 0.0
+
+
+@dataclass
+class IterationReport:
+    """One EM iteration as train() passes it to on_iteration: the corpus
+    log-likelihood and skipped sentences of its E-step, the live rules after
+    its M-step and prune, and whether the prune zeroed any rule."""
+    iteration: int
+    log_likelihood: float
+    skipped: int
+    explicit_rules: int
+    implicit_rules: int
+    pruned: bool
 
 
 def reestimate(grammar, counts):
@@ -82,28 +98,26 @@ def prune(grammar, threshold):
 
 
 def _estep(grammar, corpus):
-    """Corpus E-step: summed counts, log-likelihood, skipped-sentence count."""
+    """Corpus E-step: summed counts, log-likelihood, skipped-sentence count.
+    Each distinct sentence is parsed once and weighted by its multiplicity."""
     counts = np.zeros(len(grammar.rules()))
     ll = 0.0
-    skipped = 0
-    for tokens in corpus:
-        try:
-            chart = cyk_fill(grammar, tokens)
-        except ParseError:
-            skipped += 1
-            continue
-        lp = chart.sentence_logprob()
-        if lp == NEG_INF:
-            skipped += 1
-            continue
-        ll += lp
-        counts += expected_counts(grammar, tokens, chart)
-    return counts, ll, skipped
+    parsed = 0
+    freq = Counter(map(tuple, corpus))
+    for batch in fill_batches(grammar, freq):
+        weights = [freq[tokens] for tokens in batch.sentences]
+        for lp, w in zip(batch.logprobs, weights):
+            if lp != NEG_INF:
+                ll += w * lp
+                parsed += w
+        batch_counts(grammar, batch, weights, counts)
+    return counts, ll, len(corpus) - parsed
 
 
-def train(grammar, corpus, config=None):
+def train(grammar, corpus, config=None, on_iteration=None):
     """Run inside-outside re-estimation until the corpus log-likelihood
-    stabilises or the iteration cap is reached."""
+    stabilises or the iteration cap is reached.  on_iteration, if given, is
+    called with an IterationReport as each iteration ends."""
     config = config or TrainConfig()
     config.validate()
     corpus = [list(s) for s in corpus]
@@ -130,6 +144,8 @@ def train(grammar, corpus, config=None):
         if pruned:
             report.prune_events.append(it)
         report.iterations = it
+        if on_iteration is not None:
+            on_iteration(IterationReport(it, ll, skipped, ne, ni, pruned))
         if prev_ll is not None and abs(ll - prev_ll) <= config.convergence_tol * abs(prev_ll):
             report.converged = True
             break

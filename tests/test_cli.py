@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from xpcfg import fixtures
+from xpcfg import cli, fixtures
 from xpcfg.cli import main
 
 
@@ -195,3 +195,30 @@ def test_train_continues_from_trained_model(capsys, xbar_path, tmp_path):
                        "--max-iter", "2", "-o", str(second))
     assert code == 0
     assert second.exists()
+
+
+def test_train_streams_iteration_lines(capsys, monkeypatch, xbar_path, tmp_path):
+    # each iteration line is printed as the iteration ends, before train()
+    # returns, in the same format as the report's figures
+    corpus = tmp_path / "c.txt"
+    implicit = tmp_path / "implicit.rules"
+    run(capsys, "generate", "--grammar", xbar_path, "--count", "30", "--seed", "2",
+        "-o", str(corpus))
+    run(capsys, "implicit", "--grammar", xbar_path, "-o", str(implicit))
+    printed, reports = [], []
+    train = cli.train
+
+    def spy(*args, **kwargs):
+        reports.append(train(*args, **kwargs))
+        printed.append(capsys.readouterr().out)
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "train", spy)
+    code, out, _ = run(capsys, "train", "--grammar", str(implicit), "--corpus", str(corpus),
+                       "--max-iter", "3")
+    assert code == 0
+    report = reports[0]
+    assert printed[0].splitlines() == [
+        "iteration %d: log-likelihood %.6f, %d nonzero rules" % (i, ll, live)
+        for i, (ll, live) in enumerate(zip(report.log_likelihoods, report.nonzero_rules), 1)]
+    assert not any(line.startswith("iteration ") for line in out.splitlines())

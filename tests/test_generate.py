@@ -1,4 +1,5 @@
 import statistics
+import sys
 
 import pytest
 
@@ -69,6 +70,30 @@ class TestSampleCorpus:
                        root="S")
         with pytest.raises(GenerationError):
             sample_corpus(g, GenConfig(count=5, seed=0, max_depth=4, max_length=4))
+
+    def test_seeded_corpus_is_pinned(self, xbar_cnf):
+        # the acceptance and benchmark corpora are drawn from these seeds
+        assert [" ".join(s) for s in sample_corpus(xbar_cnf, GenConfig(count=3, seed=42))] == [
+            "the bird kisses a cat with the ball",
+            "a boy kisses the bird",
+            "the cat chases a sheep with that ball in the cat",
+        ]
+        assert [" ".join(s) for s in sample_palindromes(6, seed=11)] == [
+            "b b a a a a b b", "a a a a", "b a b a a b a b", "b b", "b a b b a b", "a b b a",
+        ]
+
+    def test_derivations_deeper_than_recursion_limit(self):
+        chain = CnfGrammar(["S", "A"], ["a"],
+                           [BinaryRule("S", "A", "S", 0.999), BinaryRule("S", "A", "A", 0.001)],
+                           [LexRule("A", "a", 1.0)], root="S")
+        caps = GenConfig(count=3, seed=1, max_depth=5000, max_length=5000)
+        corpus = sample_corpus(chain, caps)
+        assert [len(s) for s in corpus] == [1791, 1506, 2]
+        assert max(map(len, corpus)) > sys.getrecursionlimit()
+        # rejected draws of this grammar run deeper than the recursion limit
+        ergodic = ergodic_grammar(["S", "X"], ["a"], seed=0)
+        assert len(sample_corpus(ergodic, GenConfig(count=5, seed=0, max_depth=5000,
+                                                    max_length=5000))) == 5
 
     def test_caps_validated(self, xbar_cnf):
         with pytest.raises(ValueError):

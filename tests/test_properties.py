@@ -1,6 +1,7 @@
 """Property tests: the chart's derivation counts and expected rule counts
 agree with exhaustive enumeration on random small grammars that include
-zero-probability rules."""
+zero-probability rules, and the corpus passes, which parse each distinct
+sentence once in batches of one length, agree with per-sentence sums."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import enumerate_derivations, expected_usage
-from xpcfg.chart import NoParseError, count_parses, cyk_fill, expected_counts
+from xpcfg import chart as chart_module
+from xpcfg.chart import NEG_INF, NoParseError, ParseError, count_parses, cyk_fill, expected_counts
 from xpcfg.grammar import BinaryRule, CnfGrammar, LexRule
+from xpcfg.metrics import corpus_logprobs
+from xpcfg.training import _estep
 
 @st.composite
-def grammars_and_sentences(draw):
+def grammars(draw):
     nts = ["N%d" % i for i in range(draw(st.integers(1, 3)))]
     terms = ["w%d" % i for i in range(draw(st.integers(1, 2)))]
     binary = [(a, b, c) for a in nts for b in nts for c in nts]
@@ -36,8 +40,28 @@ def grammars_and_sentences(draw):
                    [BinaryRule(*r, p) for r, p in zip(binary, probs)],
                    [LexRule(*r, p) for r, p in zip(lexical, probs[len(binary):])],
                    root=nts[0])
-    tokens = draw(st.lists(st.sampled_from(terms), min_size=2, max_size=5))
-    return g, tokens
+    return g
+
+
+@st.composite
+def grammars_and_sentences(draw):
+    g = draw(grammars())
+    return g, draw(st.lists(st.sampled_from(g.terminals), min_size=2, max_size=5))
+
+
+@st.composite
+def grammars_and_corpora(draw):
+    """A grammar with a word "dead" whose one nonterminal is no daughter, and
+    a corpus of repeated sentences of mixed lengths, with one sentence that
+    has no parse and one with a token outside the vocabulary."""
+    g = draw(grammars())
+    g = CnfGrammar(g.nonterminals + ["D"], g.terminals + ["dead"], g.binary,
+                   g.lexical + [LexRule("D", "dead", 1.0)], g.root)
+    distinct = draw(st.lists(st.lists(st.sampled_from(g.terminals[:-1]), min_size=1, max_size=6),
+                             min_size=1, max_size=8))
+    distinct += [["dead"] + distinct[0], distinct[-1] + ["unknown"]]
+    corpus = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30))
+    return g, corpus + distinct + distinct[-2:]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -53,3 +77,36 @@ def test_counts_match_enumeration(case):
         return
     oracle = expected_usage(derivs, len(g.rules()))
     np.testing.assert_allclose(expected_counts(g, tokens, chart), oracle, rtol=1e-9, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(grammars_and_corpora())
+def test_corpus_passes_match_per_sentence_sums(case):
+    g, corpus = case
+    counts, ll, skipped, logprobs = np.zeros(len(g.rules())), 0.0, 0, []
+    for tokens in corpus:
+        try:
+            chart = cyk_fill(g, tokens)
+        except ParseError:
+            logprobs.append(NEG_INF)
+            skipped += 1
+            continue
+        logprobs.append(chart.sentence_logprob())
+        if logprobs[-1] == NEG_INF:
+            skipped += 1
+            continue
+        ll += logprobs[-1]
+        counts += expected_counts(g, tokens, chart)
+    assert skipped >= 4  # each sentence without a parse is there twice
+    # batches as large as the corpus allows, and batches of one
+    for block in (chart_module._BATCH_BLOCK, 1):
+        saved, chart_module._BATCH_BLOCK = chart_module._BATCH_BLOCK, block
+        try:
+            got_counts, got_ll, got_skipped = _estep(g, corpus)
+            got_logprobs = corpus_logprobs(g, corpus)
+        finally:
+            chart_module._BATCH_BLOCK = saved
+        assert got_skipped == skipped
+        assert got_ll == pytest.approx(ll, rel=1e-12, abs=0)
+        np.testing.assert_allclose(got_counts, counts, rtol=1e-12, atol=0)
+        assert got_logprobs == pytest.approx(logprobs, rel=1e-12, abs=0)

@@ -125,6 +125,83 @@ class TestExpectedCounts:
                 checked += 1
 
 
+class TestGradientOracle:
+    """Expected counts are the gradient of the log sentence probability in
+    the log rule probabilities, count(r) = d log Z / d log p(r) (CnfGrammar
+    does not require normalised probabilities), checked by central
+    differences on sentences beyond the enumerator's reach."""
+
+    H = 1e-5
+
+    def check(self, g, tokens, min_count=1e-3, rel=1e-12):
+        counts = expected_counts(g, tokens)
+        # each word has one preterminal, each derivation n - 1 binary nodes
+        nb = len(g.binary)
+        assert counts[nb:].sum() == pytest.approx(len(tokens), rel=rel, abs=0)
+        assert counts[:nb].sum() == pytest.approx(len(tokens) - 1, rel=rel, abs=0)
+        probs = [r.prob for r in g.rules()]
+        # each log-probability is exact to a few ulps of |log Z|, which puts
+        # a floor of about that over H under the differences' absolute error
+        floor = 1e-15 * abs(cyk_fill(g, tokens).sentence_logprob()) / self.H
+        checked = 0
+        for rid in np.flatnonzero(counts > min_count):
+            sides = []
+            for step in (self.H, -self.H):
+                perturbed = list(probs)
+                perturbed[rid] *= math.exp(step)
+                sides.append(cyk_fill(g.replace_probs(perturbed), tokens).sentence_logprob())
+            grad = (sides[0] - sides[1]) / (2 * self.H)
+            # measured on the 50-word sentence: at most 8.2e-8 relative
+            # where the count is above 0.01, and 1.2e-9 absolute below
+            assert abs(grad - counts[rid]) <= 1e-6 * counts[rid] + floor, rid
+            checked += 1
+        return counts, checked
+
+    def test_fifty_word_xbar_sentence(self, xbar_cnf, xbar_implicit):
+        corpus = sample_corpus(xbar_cnf, GenConfig(count=1000, seed=7, max_length=50))
+        tokens = next(s for s in corpus if len(s) == 50)
+        assert len(xbar_implicit.rules()) == 126
+        _, checked = self.check(xbar_implicit, tokens)
+        assert checked == 38
+
+    def test_three_hundred_word_chain(self):
+        g = CnfGrammar(
+            ["S", "A"], ["a"],
+            [BinaryRule("S", "A", "S", 0.9), BinaryRule("S", "A", "A", 0.1)],
+            [LexRule("A", "a", 1e-3)],
+            root="S")
+        # log Z is near -2,070, and carried to within about 1e-12 absolute,
+        # so the counts are exact to about 1e-12 relative (4.3e-12 measured)
+        counts, checked = self.check(g, ["a"] * 300, rel=1e-10)
+        assert checked == 3
+        np.testing.assert_allclose(counts, [298, 1, 300], rtol=1e-10, atol=0)
+
+    def test_scale_beyond_exp_limit(self, monkeypatch):
+        # the span (0, 100) is X with inside about 0.5^99 or Y with inside
+        # about exp(-714) times that, and the root only takes Y: booking its
+        # counts needs exp() of a scale near 714, which overflows, so they
+        # are booked in the log domain
+        q = 3.39e-4
+        g = CnfGrammar(
+            ["S", "X", "Y", "A"], ["a"],
+            [BinaryRule("S", "Y", "A", 1.0), BinaryRule("X", "X", "A", 0.5),
+             BinaryRule("X", "A", "A", 0.5), BinaryRule("Y", "Y", "A", q),
+             BinaryRule("Y", "A", "A", 1 - q)],
+            [LexRule("A", "a", 1.0)],
+            root="S")
+        tokens = ["a"] * 101
+        chart = cyk_fill(g, tokens)
+        gap = chart.inside_log(0, 100, "X") - chart.inside_log(0, 100, "Y")
+        assert gap > chart_module._EXP_LIMIT + 10
+        counts, checked = self.check(g, tokens, min_count=0.5)
+        assert checked == 4
+        # log Z is near -780: exact to about 1e-12 relative (1.0e-12 measured)
+        np.testing.assert_allclose(counts, [1, 0, 0, 98, 1, 101], rtol=1e-10, atol=0)
+        monkeypatch.setattr(chart_module, "_EXP_LIMIT", math.inf)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(expected_counts(g, tokens)).all()
+
+
 class TestReestimate:
     def test_ratio(self):
         g = CnfGrammar(["S", "A"], ["w"],
@@ -189,6 +266,20 @@ class TestTrain:
         report.grammar.check_normalized(tol=1e-9)
         # support never grows
         assert all(b <= a for a, b in zip(report.nonzero_rules, report.nonzero_rules[1:]))
+
+    def test_on_iteration_matches_report(self, xbar_cnf, xbar_implicit):
+        corpus = sample_corpus(xbar_cnf, GenConfig(count=60, seed=5)) + [["the", "unicorn"]]
+        steps = []
+        report = train(xbar_implicit, corpus, TrainConfig(max_iterations=4),
+                       on_iteration=steps.append)
+        assert [s.iteration for s in steps] == list(range(1, report.iterations + 1))
+        assert [s.log_likelihood for s in steps] == report.log_likelihoods
+        assert [s.explicit_rules + s.implicit_rules for s in steps] == report.nonzero_rules
+        assert [s.iteration for s in steps if s.pruned] == report.prune_events
+        assert report.prune_events  # the implicit floor is pruned away
+        assert [s.skipped for s in steps] == [1] * report.iterations == [report.skipped] * len(steps)
+        assert (steps[-1].explicit_rules, steps[-1].implicit_rules) == \
+            report.grammar.nonzero_counts()
 
     def test_unparseable_sentences_skipped_and_counted(self, xbar_cnf):
         corpus = [FIVE_WORDS, ["chases", "chases"], ["the", "unicorn"]]
