@@ -5,9 +5,13 @@ Inside and outside values are kept in an extended-range representation: each
 span stores a mantissa vector over nonterminals, with maximum 1, plus one
 natural-log scale factor (-inf for a span without mass), so sentence
 probabilities far below double-precision range stay exact to within
-rounding.  Viterbi search runs in the log domain.  Derivation counts are
-float64 while below 2^53, where such sums are exact, and exact Python
-integers from the first span width that reaches it.
+rounding.  Viterbi search is the max-plus form of the inside pass, over
+log-probabilities: per cell, the best sum of daughter values over splits
+for each daughter pair, plus each rule's log-probability, maximised per
+mother.  It keeps no backpointers; the best tree's rule and split at each
+node are found again at extraction, by repeating the fill's sums.
+Derivation counts are float64 while below 2^53, where such sums are exact,
+and exact Python integers from the first span width that reaches it.
 
 Every pass fills the chart one span width at a time, widest first for the
 reverse pass: the daughters (or the parents and siblings) of all cells of
@@ -31,11 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NEG_INF = float("-inf")
-
-# Viterbi score blocks (cells x mothers x rules per mother x splits) are
-# tiled to at most this many elements, which bounds the pass's peak memory
-# on long sentences
-_VITERBI_BLOCK = 2 ** 14
 
 # a batch of B sentences of length n fills (B, n, n + 1, N) tables, and its
 # widest per-width blocks hold up to about B * n * (n + 1) * N^2 elements:
@@ -92,28 +91,26 @@ class _Index:
         self.bin_rid = np.asarray(rid, dtype=np.int64)
         # daughter pair (left * N + right) -> mother: rule probabilities and
         # rule multiplicities, for the inside, reverse and counting passes
-        N, nr = self.n_nts, len(A)
+        N = self.n_nts
         pair = (self.bin_b * N + self.bin_c, self.bin_a)
         self.pair_p = np.zeros((N * N, N))
         np.add.at(self.pair_p, pair, self.bin_p)
         self.pair_n = np.zeros((N * N, N))
         np.add.at(self.pair_n, pair, 1.0)
-        # each mother's rules in ascending rule-id order, padded to one width
-        # with a rule past the last: daughter pairs, log-probabilities (-inf at
-        # the pads) and rule ids, for the Viterbi pass
-        rules_of = [np.flatnonzero(self.bin_a == a) for a in range(N)]
-        self.max_rules = max(len(r) for r in rules_of)
-        slots = np.full((N, max(1, self.max_rules)), nr)
-        for a, pos in enumerate(rules_of):
-            slots[a, :len(pos)] = pos
-        self.mother_pair = np.append(pair[0], 0)[slots]
-        self.mother_logp = np.append(self.bin_logp, NEG_INF)[slots][:, :, None]
-        self.mother_rid = np.append(self.bin_rid, -1)[slots]
+        # live binary rules by (mother, rule id), each scored on its own (not
+        # summed as in pair_p): the Viterbi fill takes each mother's best from
+        # its first rule on with reduceat, and extraction scans rules_of[a],
+        # (left, right, log-probability) per rule, in the same order
+        order = np.argsort(self.bin_a, kind="stable")
+        self.vit_pair, self.vit_logp = pair[0][order], self.bin_logp[order]
+        self.vit_mothers, self.vit_first = np.unique(self.bin_a[order], return_index=True)
+        self.rules_of = [[] for _ in range(N)]
+        for a, b, c, lp in zip(A, B, C, self.bin_logp.tolist()):
+            self.rules_of[a].append((b, c, lp))
 
         # live lexical rules: word id (in order of first use), mother,
         # probability and rule id; then (words, N) tables of the span of one
-        # word: inside values, derivation counts, and the best rule (the
-        # lowest id among ties) with its log-probability
+        # word: inside values, derivation counts, and the best log-probability
         self.word_i = {}
         W, A, P, rid = [], [], [], []
         nb = len(grammar.binary)
@@ -132,11 +129,8 @@ class _Index:
         np.add.at(self.word_p, (self.lex_w, self.lex_a), self.lex_p)
         np.add.at(self.word_n, (self.lex_w, self.lex_a), 1.0)
         self.word_logp = np.full((V, N), NEG_INF)
-        self.word_rid = np.full((V, N), -1, dtype=np.int64)
-        for w, a, p, r in zip(W, A, P, rid):
-            if math.log(p) > self.word_logp[w, a]:
-                self.word_logp[w, a] = math.log(p)
-                self.word_rid[w, a] = r
+        for w, a, p in zip(W, A, P):
+            self.word_logp[w, a] = max(self.word_logp[w, a], math.log(p))
 
 
 def _index(grammar):
@@ -185,29 +179,25 @@ class Chart:
     # -- Viterbi -----------------------------------------------------------
 
     def _fill_viterbi(self):
+        """Max-plus inside pass: per cell of a width, the best sum of left and
+        right daughter log-probabilities over splits for each daughter pair,
+        plus each rule's log-probability, then the best rule per mother."""
         idx = self.index
         n, N = self.n, idx.n_nts
         vit = np.full((n, n + 1, N), NEG_INF)
-        bp_rule = np.full((n, n + 1, N), -1, dtype=np.int64)
-        bp_split = np.full((n, n + 1, N), -1, dtype=np.int64)
-        flat_vit, flat_rule, flat_split = (t.reshape(-1, N) for t in (vit, bp_rule, bp_split))
-        words = [idx.word_i[tok] for tok in self.tokens]
-        flat_vit[1::n + 2] = idx.word_logp[words]  # cells (i, i + 1), as in _fill
-        flat_rule[1::n + 2] = idx.word_rid[words]
-        K = idx.max_rules
-        for span in range(2, n + 1) if K else ():
+        flat = vit.reshape(-1, N)
+        flat[1::n + 2] = idx.word_logp[[idx.word_i[tok] for tok in self.tokens]]  # as in _fill
+        for span in range(2, n + 1) if len(idx.vit_pair) else ():
             cells, lft, rgt = _width(n, span)
-            splits = span - 1
-            tile = max(1, _VITERBI_BLOCK // (splits * N * K))
+            # (cells, splits, N, N) blocks are tiled as batches are in
+            # fill_batches
+            tile = max(1, _BATCH_BLOCK // ((span - 1) * N * N))
             for t in range(0, len(cells), tile):
-                ct = cells[t:t + tile]
-                best, rid, split = _viterbi_block(
-                    idx, _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile]))
-                live = best > NEG_INF
-                flat_vit[ct] = best
-                flat_rule[ct] = np.where(live, rid, -1)
-                flat_split[ct] = np.where(live, (ct // (n + 1))[:, None] + 1 + split, -1)
-        self._vit = (vit, bp_rule, bp_split)
+                L, R = _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile])
+                pairs = (L[:, :, :, None] + R[:, :, None, :]).max(axis=1).reshape(len(L), -1)
+                best = np.maximum.reduceat(pairs[:, idx.vit_pair] + idx.vit_logp, idx.vit_first, axis=1)
+                flat[cells[t:t + tile, None], idx.vit_mothers] = best
+        self._vit = vit
 
     def viterbi_tables(self):
         if self._vit is None:
@@ -215,8 +205,7 @@ class Chart:
         return self._vit
 
     def viterbi_log(self):
-        vit, _, _ = self.viterbi_tables()
-        return float(vit[0, self.n, self.index.root_i])
+        return float(self.viterbi_tables()[0, self.n, self.index.root_i])
 
     # -- derivation counting -----------------------------------------------
 
@@ -279,22 +268,6 @@ def _combine(L, R, rules):
     daughter values, from blocks L and R (cells, splits, N), times a
     (N * N, N) rule matrix."""
     return (L.transpose(0, 2, 1) @ R).reshape(len(L), -1) @ rules
-
-
-def _viterbi_block(idx, L, R):
-    """Best log-probability per (cell, mother) from daughter blocks L and R
-    of shape (cells, splits, N), with the rule id and split index reaching
-    it: the lowest rule id among ties, then the lowest split."""
-    cells, splits, N = L.shape
-    L, R = L.transpose(0, 2, 1), R.transpose(0, 2, 1)
-    pairs = (L[:, :, None, :] + R[:, None, :, :]).reshape(cells, N * N, splits)
-    # (cells, mothers, rule slots, splits), flattened over the last two axes
-    # so that the first maximum is the lowest slot, then the lowest split
-    scores = pairs[:, idx.mother_pair]
-    scores += idx.mother_logp
-    scores = scores.reshape(cells, N, -1)
-    slot, split = np.divmod(scores.argmax(axis=2), splits)
-    return scores.max(axis=2), idx.mother_rid[np.arange(N), slot], split
 
 
 def _shared_scale(s):
@@ -514,31 +487,43 @@ def walk(tree):
 
 
 def viterbi_parse(chart, grammar=None):
-    """Extract the most probable derivation of the root over the full span.
+    """Extract the most probable derivation of the root over the full span,
+    with its probability; grammar, if given, is the chart's own.
 
-    Ties break deterministically on (rule id, split point) ascending.  Raises
-    NoParseError when the sentence has no derivation.
+    Ties break deterministically on (rule id, split point) ascending.  The
+    chart keeps no backpointers: each binary node takes the first rule of its
+    mother and split, in that order, whose score equals the node's table
+    value.  The score is summed as the fill sums it, so the match is exact.
+    Raises NoParseError when the sentence has no derivation.
     """
-    grammar = grammar if grammar is not None else chart.grammar
     idx = chart.index
-    vit, bp_rule, bp_split = chart.viterbi_tables()
-    root_lp = vit[0, chart.n, idx.root_i]
+    vit = chart.viterbi_tables()
+    root_lp = float(vit[0, chart.n, idx.root_i])
     if root_lp == NEG_INF:
         raise NoParseError("no parse for %r" % " ".join(chart.tokens))
-    rules = grammar.rules()
     root = Tree(idx.nts[idx.root_i], ())
-    stack = [(root, 0, chart.n, idx.root_i)]
+    stack = [(root, 0, chart.n, idx.root_i, root_lp)]
     while stack:
-        node, i, k, a = stack.pop()
+        node, i, k, a, best = stack.pop()
         if k - i == 1:
             node.children = (chart.tokens[i],)
             continue
-        rule = rules[bp_rule[i, k, a]]
-        j = int(bp_split[i, k, a])
-        node.children = (Tree(rule.left, ()), Tree(rule.right, ()))
-        stack.append((node.children[0], i, j, idx.nt_i[rule.left]))
-        stack.append((node.children[1], j, k, idx.nt_i[rule.right]))
+        lft, rgt = vit[i, i + 1:k].tolist(), vit[i + 1:k, k].tolist()
+        b, c, s = _first_match(idx.rules_of[a], lft, rgt, best)
+        node.children = (Tree(idx.nts[b], ()), Tree(idx.nts[c], ()))
+        stack.append((node.children[0], i, i + 1 + s, b, lft[s][b]))
+        stack.append((node.children[1], i + 1 + s, k, c, rgt[s][c]))
     return root, math.exp(root_lp)
+
+
+def _first_match(rules, lft, rgt, best):
+    """The first rule (left, right, log-probability) and split index, in
+    that order, whose score (L + R) + log-probability over the daughter
+    rows lft and rgt equals best."""
+    for b, c, lp in rules:
+        for s, (L, R) in enumerate(zip(lft, rgt)):
+            if L[b] + R[c] + lp == best:
+                return b, c, s
 
 
 def count_parses(chart):
@@ -547,12 +532,15 @@ def count_parses(chart):
 
 
 def likelihood_ratio(chart, viterbi_prob=None):
-    """Ratio of the most probable parse to the total parse probability."""
+    """Ratio of the most probable parse to the total parse probability.
+
+    Both come from the chart's log-domain tables, so the ratio stays defined
+    where either probability underflows; viterbi_prob, the probability
+    viterbi_parse returns, adds nothing to them and is not used."""
     all_lp = chart.sentence_logprob()
     if all_lp == NEG_INF:
         raise NoParseError("likelihood ratio undefined: sentence has no parse")
-    best_lp = chart.viterbi_log() if viterbi_prob is None else math.log(viterbi_prob)
-    return math.exp(best_lp - all_lp)
+    return math.exp(chart.viterbi_log() - all_lp)
 
 
 def unconstrained_count(n, num_nonterminals):

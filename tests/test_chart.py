@@ -3,8 +3,10 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
+import xpcfg.chart as chart_module
 from bruteforce import enumerate_derivations, random_cnf_grammar, random_sentence
 from xpcfg.grammar import BinaryRule, CnfGrammar, LexRule
 from xpcfg.chart import (
@@ -27,6 +29,19 @@ FIVE_WORDS_INSIDE = 1.0 * (0.8 * 0.4 * 0.15) * (0.9 * 0.65 * (0.8 * 0.4 * 0.2))
 # every binary bracketing of n words is one derivation: Catalan(n - 1) of them
 CATALAN_GRAMMAR = CnfGrammar(
     ["S"], ["a"], [BinaryRule("S", "S", "S", 0.25)], [LexRule("S", "a", 1.0)], root="S")
+
+
+def unit_probabilities(grammar):
+    """The grammar with every live rule's probability set to 1: its inside
+    values are then derivation counts."""
+    return grammar.replace_probs([1.0 if r.prob > 0.0 else 0.0 for r in grammar.rules()])
+
+
+def as_tuple(tree):
+    """A Tree in the oracle's nested-tuple form."""
+    if isinstance(tree.children[0], str):
+        return tree.label, tree.children[0]
+    return (tree.label,) + tuple(as_tuple(c) for c in tree.children)
 
 
 class TestInside:
@@ -95,6 +110,29 @@ class TestViterbi:
         ratio = likelihood_ratio(chart, best)
         assert ratio == pytest.approx(likelihood_ratio(chart), rel=1e-9)
         assert 0.0 < ratio <= 1.0
+
+    def test_likelihood_ratio_when_viterbi_prob_underflows(self):
+        # the one parse of 120 words has log-probability near -911, so the
+        # probability viterbi_parse returns is 0.0; the ratio is still 1, to
+        # within the rounding of two logs of that size
+        g = CnfGrammar(["S", "A"], ["a", "b"],
+                       [BinaryRule("S", "A", "S", 0.5), BinaryRule("S", "A", "A", 0.5)],
+                       [LexRule("A", "a", 1e-3), LexRule("A", "b", 1.0 - 1e-3)], root="S")
+        chart = cyk_fill(g, ["a"] * 120)
+        _, prob = viterbi_parse(chart)
+        assert prob == 0.0
+        assert likelihood_ratio(chart, prob) == likelihood_ratio(chart)
+        assert likelihood_ratio(chart) == pytest.approx(1.0, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("block", [1, 2 ** 11])
+    def test_tiled_fill_matches_untiled(self, monkeypatch, xbar_implicit, sentence14, block):
+        # a bound of 1 fills one cell at a time; 2^11 cuts the widths of 2
+        # to 8 splits into blocks of 2 to 8 cells (N = 11), the last shorter
+        whole = cyk_fill(xbar_implicit, sentence14)
+        monkeypatch.setattr(chart_module, "_BATCH_BLOCK", block)
+        tiled = cyk_fill(xbar_implicit, sentence14)
+        assert np.array_equal(tiled.viterbi_tables(), whole.viterbi_tables())
+        assert tree_to_paren(viterbi_parse(tiled)[0]) == tree_to_paren(viterbi_parse(whole)[0])
 
     def test_tie_break_prefers_lowest_rule_id(self):
         g = CnfGrammar(
@@ -172,7 +210,7 @@ class TestCounts:
 
     def test_count_zero_iff_inside_zero(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)
-        vit, _, _ = chart.viterbi_tables()
+        vit = chart.viterbi_tables()
         nt_i = chart.index.nt_i
         for i in range(5):
             for k in range(i + 1, 6):
@@ -181,6 +219,26 @@ class TestCounts:
                     assert (chart.count(i, k, a) == 0) == (lp == float("-inf"))
                     # the chart's max never exceeds its sum
                     assert vit[i, k, nt_i[a]] <= lp + 1e-12
+
+    @pytest.mark.parametrize("case", ["catalan", "sentence14"])
+    def test_unit_probability_inside_equals_count(self, case, xbar_implicit, sentence14):
+        # with every live rule at probability 1 the inside and counting
+        # passes sum the same products; float64 counts are exact below 2^53
+        if case == "catalan":
+            charts = [cyk_fill(unit_probabilities(CATALAN_GRAMMAR), ["a"] * n) for n in range(1, 32)]
+        else:
+            charts = [cyk_fill(unit_probabilities(xbar_implicit), sentence14)]
+            assert count_parses(charts[0]) == 18978
+        checked = 0
+        for chart in charts:
+            for i in range(chart.n):
+                for k in range(i + 1, chart.n + 1):
+                    for a in chart.grammar.nonterminals:
+                        count = chart.count(i, k, a)
+                        if count < 2 ** 53:
+                            assert chart.inside(i, k, a) == pytest.approx(count, rel=1e-12, abs=0)
+                            checked += 1
+        assert checked == sum(c.n * (c.n + 1) // 2 * len(c.grammar.nonterminals) for c in charts)
 
 
 class TestUnconstrainedCount:
@@ -251,6 +309,21 @@ class TestOracleEquivalence:
         assert count_parses(chart) == len(derivs) == 4
         assert chart.sentence_prob() == pytest.approx(1.0, rel=1e-12, abs=0)
 
+    def test_duplicate_binary_rules_score_apart(self):
+        # two rules S -> A A are two derivations of the pair: inside sums
+        # them, Viterbi takes the one of lower rule id at its own 0.5
+        g = CnfGrammar(["S", "A"], ["a"],
+                       [BinaryRule("S", "A", "A", 0.5), BinaryRule("S", "A", "A", 0.5)],
+                       [LexRule("A", "a", 1.0)], root="S")
+        chart = cyk_fill(g, ["a", "a"])
+        derivs = enumerate_derivations(g, ["a", "a"])
+        assert count_parses(chart) == len(derivs) == 2
+        assert chart.sentence_prob() == pytest.approx(1.0, rel=1e-12, abs=0)
+        tree, prob = viterbi_parse(chart)
+        assert prob == pytest.approx(0.5, rel=1e-12, abs=0)
+        assert as_tuple(tree) == ("S", ("A", "a"), ("A", "a"))
+        assert likelihood_ratio(chart) == pytest.approx(0.5, rel=1e-12, abs=0)
+
     def test_against_bruteforce(self):
         rng = random.Random(1234)
         checked = 0
@@ -267,8 +340,10 @@ class TestOracleEquivalence:
                 total = sum(p for p, _, _ in derivs)
                 best = max(p for p, _, _ in derivs)
                 assert chart.sentence_prob() == pytest.approx(total, rel=1e-12, abs=0)
-                _, vit = viterbi_parse(chart, g)
+                tree, vit = viterbi_parse(chart, g)
                 assert vit == pytest.approx(best, rel=1e-12, abs=0)
+                # the tree itself is a best derivation, not only its score
+                assert as_tuple(tree) in [t for p, t, _ in derivs if best - p <= 1e-12 * best]
                 assert vit <= chart.sentence_prob() * (1 + 1e-12)
                 checked += 1
         assert checked >= 100
