@@ -18,13 +18,13 @@ reverse pass: the daughters (or the parents and siblings) of all cells of
 the width are gathered as (cells, splits, nonterminals) blocks and combined
 by a few array operations, so no pass loops over cells in Python.
 
-The inside and reverse passes run on a batch of B sentences of one length n
-at a time, laid out as one (B, n, n + 1, N) table: flat cell ids only gain
-an offset of b * n * (n + 1), so each span width is one gather per side and
-one set of matrix products for the whole batch.  A single sentence is a
-batch of one (cyk_fill, expected_counts); fill_batches cuts a corpus into
-batches of bounded size.  Viterbi search and derivation counting run on one
-sentence's chart.
+The inside, Viterbi and reverse passes run on a batch of B sentences of one
+length n at a time, laid out as one (B, n, n + 1, N) table: flat cell ids
+only gain an offset of b * n * (n + 1), so each span width is one gather per
+side and one set of array operations for the whole batch.  A single sentence
+is a batch of one (cyk_fill, expected_counts); fill_batches and
+viterbi_charts cut a corpus into batches of bounded size.  Derivation
+counting runs on one sentence's chart.
 """
 
 from __future__ import annotations
@@ -142,29 +142,33 @@ def _index(grammar):
 
 
 class Chart:
-    """Packed chart over half-open spans (start, end) of one sentence.
+    """Packed chart over half-open spans (start, end) of one sentence, with
+    its (n,) word ids.  Its inside and Viterbi tables are views into the
+    tables of the batch they were filled in, or are filled as a batch of one
+    on first use, as derivation counts are."""
 
-    Cell values are exposed through inside()/inside_log(), whose tables are
-    views into the (B, n, n + 1, N) tables of the batch it was filled in;
-    Viterbi tables and derivation counts are computed lazily on first use.
-    """
-
-    def __init__(self, grammar, tokens, inside_m, inside_s):
+    def __init__(self, grammar, tokens, words, inside=None, vit=None):
         self.grammar = grammar
         self.tokens = list(tokens)
         self.n = len(tokens)
+        self.words = words
         self.index = _index(grammar)
-        self.inside_m = inside_m
-        self.inside_s = inside_s
-        self._vit = None
+        self._inside = inside
+        self._vit = vit
         self._counts = None
 
     # -- inside ------------------------------------------------------------
 
+    def inside_tables(self):
+        if self._inside is None:
+            batch = _fill(self.index, [self.tokens], self.words[None])
+            self._inside = batch.inside_m[0], batch.inside_s[0]
+        return self._inside
+
     def inside_log(self, start, end, label):
-        a = self.index.nt_i[label]
-        m = self.inside_m[start, end, a]
-        return NEG_INF if m == 0.0 else math.log(m) + self.inside_s[start, end]
+        mantissas, scales = self.inside_tables()
+        m = mantissas[start, end, self.index.nt_i[label]]
+        return NEG_INF if m == 0.0 else math.log(m) + scales[start, end]
 
     def inside(self, start, end, label):
         lp = self.inside_log(start, end, label)
@@ -178,30 +182,9 @@ class Chart:
 
     # -- Viterbi -----------------------------------------------------------
 
-    def _fill_viterbi(self):
-        """Max-plus inside pass: per cell of a width, the best sum of left and
-        right daughter log-probabilities over splits for each daughter pair,
-        plus each rule's log-probability, then the best rule per mother."""
-        idx = self.index
-        n, N = self.n, idx.n_nts
-        vit = np.full((n, n + 1, N), NEG_INF)
-        flat = vit.reshape(-1, N)
-        flat[1::n + 2] = idx.word_logp[[idx.word_i[tok] for tok in self.tokens]]  # as in _fill
-        for span in range(2, n + 1) if len(idx.vit_pair) else ():
-            cells, lft, rgt = _width(n, span)
-            # (cells, splits, N, N) blocks are tiled as batches are in
-            # fill_batches
-            tile = max(1, _BATCH_BLOCK // ((span - 1) * N * N))
-            for t in range(0, len(cells), tile):
-                L, R = _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile])
-                pairs = (L[:, :, :, None] + R[:, :, None, :]).max(axis=1).reshape(len(L), -1)
-                best = np.maximum.reduceat(pairs[:, idx.vit_pair] + idx.vit_logp, idx.vit_first, axis=1)
-                flat[cells[t:t + tile, None], idx.vit_mothers] = best
-        self._vit = vit
-
     def viterbi_tables(self):
         if self._vit is None:
-            self._fill_viterbi()
+            self._vit = _fill_viterbi(self.index, self.words[None])[0]
         return self._vit
 
     def viterbi_log(self):
@@ -213,7 +196,7 @@ class Chart:
         idx = self.index
         n, N = self.n, idx.n_nts
         counts, rules = np.zeros((n, n + 1, N)), idx.pair_n
-        counts.reshape(-1, N)[1::n + 2] = idx.word_n[[idx.word_i[tok] for tok in self.tokens]]
+        counts.reshape(-1, N)[1::n + 2] = idx.word_n[self.words]
         for span in range(2, n + 1):
             cells, lft, rgt = _width(n, span)
             cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
@@ -302,11 +285,26 @@ class Batch:
     logprobs: list
 
 
-def _fill(idx, sentences):
-    """Inside pass over a batch of in-vocabulary token sequences of one
-    length n: each span width is one gather, one shared scale and one
-    combine over the cells of every sentence."""
-    words = np.array([[idx.word_i[tok] for tok in tokens] for tokens in sentences])
+def _batches(idx, sentences):
+    """Token sequences grouped by length and cut into batches of at most
+    _BATCH_BLOCK elements; yields each batch with its (B, n) word ids.
+    Empty sentences and those with a token outside the vocabulary are left
+    out."""
+    by_length = {}
+    for tokens in sentences:
+        if tokens and all(tok in idx.word_i for tok in tokens):
+            by_length.setdefault(len(tokens), []).append(tokens)
+    for n, group in by_length.items():
+        size = max(1, _BATCH_BLOCK // (n * (n + 1) * idx.n_nts ** 2))
+        for at in range(0, len(group), size):
+            batch = group[at:at + size]
+            yield batch, np.array([[idx.word_i[tok] for tok in tokens] for tokens in batch])
+
+
+def _fill(idx, sentences, words):
+    """Inside pass over a batch of token sequences of one length n, with
+    their (B, n) word ids: each span width is one gather, one shared scale
+    and one combine over the cells of every sentence."""
     B, n = words.shape
     m = np.zeros((B, n, n + 1, idx.n_nts))
     s = np.full((B, n, n + 1), NEG_INF)
@@ -322,20 +320,43 @@ def _fill(idx, sentences):
     return Batch(sentences, words, m, s, logprobs)
 
 
+def _fill_viterbi(idx, words):
+    """Max-plus inside pass over a batch of (B, n) word ids, returning its
+    (B, n, n + 1, N) table: per cell of a width, the best sum of left and
+    right daughter log-probabilities over splits for each daughter pair,
+    plus each rule's log-probability, then the best rule per mother."""
+    (B, n), N = words.shape, idx.n_nts
+    vit = np.full((B, n, n + 1, N), NEG_INF)
+    flat = vit.reshape(-1, N)
+    vit.reshape(B, -1, N)[:, 1::n + 2] = idx.word_logp[words]  # as in _fill
+    for span in range(2, n + 1) if len(idx.vit_pair) else ():
+        cells, lft, rgt = _width(n, span, B)
+        # (cells, splits, N, N) blocks are cut to _BATCH_BLOCK elements
+        tile = max(1, _BATCH_BLOCK // ((span - 1) * N * N))
+        for t in range(0, len(cells), tile):
+            L, R = _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile])
+            pairs = (L[:, :, :, None] + R[:, :, None, :]).max(axis=1).reshape(len(L), -1)
+            best = np.maximum.reduceat(pairs[:, idx.vit_pair] + idx.vit_logp, idx.vit_first, axis=1)
+            flat[cells[t:t + tile, None], idx.vit_mothers] = best
+    return vit
+
+
 def fill_batches(grammar, sentences):
     """Inside pass over distinct token sequences, a batch of one length at a
-    time; yields each Batch.  Batches are cut to _BATCH_BLOCK elements, and
-    empty sentences and those with a token outside the vocabulary are left
-    out."""
+    time (see _batches); yields each Batch."""
     idx = _index(grammar)
-    by_length = {}
-    for tokens in sentences:
-        if tokens and all(tok in idx.word_i for tok in tokens):
-            by_length.setdefault(len(tokens), []).append(tokens)
-    for n, group in by_length.items():
-        size = max(1, _BATCH_BLOCK // (n * (n + 1) * idx.n_nts ** 2))
-        for at in range(0, len(group), size):
-            yield _fill(idx, group[at:at + size])
+    for batch, words in _batches(idx, sentences):
+        yield _fill(idx, batch, words)
+
+
+def viterbi_charts(grammar, sentences):
+    """Max-plus fill over distinct token sequences, batched as fill_batches
+    batches them; yields each sentence's Chart, whose Viterbi table is a view
+    into its batch's.  Its inside tables are filled only if asked for."""
+    idx = _index(grammar)
+    for batch, words in _batches(idx, sentences):
+        for tokens, row, vit in zip(batch, words, _fill_viterbi(idx, words)):
+            yield Chart(grammar, tokens, row, vit=vit)
 
 
 def cyk_fill(grammar, tokens):
@@ -352,8 +373,8 @@ def cyk_fill(grammar, tokens):
     for i, tok in enumerate(tokens):
         if tok not in idx.word_i:
             raise ParseError("unknown token %r at position %d" % (tok, i))
-    batch = _fill(idx, [tokens])
-    return Chart(grammar, tokens, batch.inside_m[0], batch.inside_s[0])
+    batch = _fill(idx, [tokens], np.array([[idx.word_i[tok] for tok in tokens]]))
+    return Chart(grammar, tokens, batch.words[0], (batch.inside_m[0], batch.inside_s[0]))
 
 
 def expected_counts(grammar, tokens, chart=None):
@@ -364,11 +385,10 @@ def expected_counts(grammar, tokens, chart=None):
     root_lp = chart.sentence_logprob()
     if root_lp == NEG_INF:
         raise NoParseError("expected counts undefined: sentence has no parse")
-    idx = chart.index
-    words = np.array([[idx.word_i[tok] for tok in chart.tokens]])
+    m, s = chart.inside_tables()
     counts = np.zeros(len(grammar.rules()))
-    batch_counts(grammar, Batch([chart.tokens], words, chart.inside_m[None],
-                                chart.inside_s[None], [root_lp]), [1.0], counts)
+    batch_counts(grammar, Batch([chart.tokens], chart.words[None], m[None], s[None], [root_lp]),
+                 [1.0], counts)
     return counts
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chart import NoParseError, ParseError, Tree, cyk_fill, viterbi_parse, walk
+from .chart import NEG_INF, Tree, viterbi_charts, viterbi_parse, walk
 from .grammar import GrammarError
 
 
@@ -153,21 +153,24 @@ def geig_score(candidate, gold):
 def evaluate_corpus(grammar, gold_trees):
     """Viterbi-parse each gold tree's yield and score against its brackets.
 
-    Unparsed sentences are excluded from the bracket aggregates but counted
-    in the sentences-parsed figures; recall and precision are micro-averaged
-    over total bracket counts.
+    Each distinct yield is parsed once, with no inside pass, in batches of
+    one length (chart.viterbi_charts).  Unparsed sentences are excluded from
+    the bracket aggregates but counted in the sentences-parsed figures;
+    recall and precision are micro-averaged over total bracket counts.
     """
     gold_trees = list(gold_trees)
+    yields = [tuple(gold_tree.tokens()) for gold_tree in gold_trees]
+    charts = viterbi_charts(grammar, dict.fromkeys(yields))
+    best = {tuple(chart.tokens): viterbi_parse(chart, grammar)[0]
+            for chart in charts if chart.viterbi_log() != NEG_INF}
     score = CorpusScore(sentences_total=len(gold_trees))
     total_len = 0
-    for gold_tree in gold_trees:
-        try:
-            cand_tree, _ = viterbi_parse(cyk_fill(grammar, gold_tree.tokens()), grammar)
-        except (ParseError, NoParseError):
+    for gold_tree, tokens in zip(gold_trees, yields):
+        if tokens not in best:
             score.per_sentence.append(None)
             continue
         gold = brackets_of(gold_tree)
-        cand = brackets_of(cand_tree)
+        cand = brackets_of(best[tokens])
         s = geig_score(cand, gold)
         score.per_sentence.append(s)
         score.sentences_parsed += 1

@@ -21,8 +21,10 @@ from xpcfg.chart import (
     sci_from_log,
     tree_to_paren,
     unconstrained_count,
+    viterbi_charts,
     viterbi_parse,
 )
+from xpcfg.generate import GenConfig, sample_corpus
 
 FIVE_WORDS = "the cat chases the ball".split()
 FIVE_WORDS_INSIDE = 1.0 * (0.8 * 0.4 * 0.15) * (0.9 * 0.65 * (0.8 * 0.4 * 0.2))
@@ -133,6 +135,25 @@ class TestViterbi:
         tiled = cyk_fill(xbar_implicit, sentence14)
         assert np.array_equal(tiled.viterbi_tables(), whole.viterbi_tables())
         assert tree_to_paren(viterbi_parse(tiled)[0]) == tree_to_paren(viterbi_parse(whole)[0])
+
+    @pytest.mark.parametrize("block", [1, 2 ** 11, 2 ** 17])
+    def test_batched_fill_matches_per_sentence(self, monkeypatch, xbar_implicit, sentence14, block):
+        # 1 and 2^11 cut every batch to one sentence, tiled by cell; 2^17,
+        # the default, fills several sentences of one length as one batch
+        known = [tuple(s) for s in sample_corpus(xbar_implicit, GenConfig(count=60, seed=3))]
+        known += [tuple(sentence14), ("chases", "chases")]  # the last has no parse
+        whole = {s: cyk_fill(xbar_implicit, s) for s in known}
+        monkeypatch.setattr(chart_module, "_BATCH_BLOCK", block)
+        # the empty sentence and the unknown word are left out
+        charts = list(viterbi_charts(xbar_implicit, dict.fromkeys(known + [(), ("the", "dog")])))
+        assert sorted(tuple(c.tokens) for c in charts) == sorted(whole)
+        for chart in charts:
+            ref = whole[tuple(chart.tokens)]
+            assert chart.viterbi_tables().tobytes() == ref.viterbi_tables().tobytes()
+            # the inside tables are filled on first use
+            assert chart.sentence_logprob() == ref.sentence_logprob()
+        batched = max(len(c.viterbi_tables().base) for c in charts) > 1
+        assert batched == (block == 2 ** 17)
 
     def test_tie_break_prefers_lowest_rule_id(self):
         g = CnfGrammar(

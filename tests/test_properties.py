@@ -1,7 +1,12 @@
 """Property tests: the chart's derivation counts and expected rule counts
 agree with exhaustive enumeration on random small grammars that include
-zero-probability rules, and the corpus passes, which parse each distinct
-sentence once in batches of one length, agree with per-sentence sums."""
+zero-probability rules; the corpus passes, which parse each distinct
+sentence once in batches of one length, agree with per-sentence sums; an
+M-step and prune keep the grammar normalised without reviving a zeroed
+rule; and saved rule files load back with the exact probabilities."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from xpcfg import chart as chart_module
 from xpcfg.chart import NEG_INF, NoParseError, ParseError, count_parses, cyk_fill, expected_counts
 from xpcfg.grammar import BinaryRule, CnfGrammar, LexRule
 from xpcfg.metrics import corpus_logprobs
-from xpcfg.training import _estep
+from xpcfg.training import _estep, parse_rules, prune, reestimate, save_rules
 
 @st.composite
 def grammars(draw):
@@ -110,3 +115,29 @@ def test_corpus_passes_match_per_sentence_sums(case):
         assert got_ll == pytest.approx(ll, rel=1e-12, abs=0)
         np.testing.assert_allclose(got_counts, counts, rtol=1e-12, atol=0)
         assert got_logprobs == pytest.approx(logprobs, rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grammars(), st.data())
+def test_reestimate_and_prune_keep_normalisation(g, data):
+    corpus = data.draw(st.lists(st.lists(st.sampled_from(g.terminals), min_size=1, max_size=5),
+                                min_size=1, max_size=6))
+    threshold = data.draw(st.sampled_from([0.0, 1e-5, 0.05, 0.3]))
+    counts, _, _ = _estep(g, corpus)
+    out, _ = prune(reestimate(g, counts), threshold)
+    for before, after in zip(g.rules(), out.rules()):
+        assert before.prob > 0.0 or after.prob == 0.0
+    for mother, total in out.mother_totals(nonzero_only=True).items():
+        assert abs(total - 1.0) <= 1e-9, mother
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grammars(), st.booleans())
+def test_save_rules_round_trip_is_exact(g, include_zero):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rules.txt")
+        save_rules(g, path, include_zero=include_zero)
+        with open(path) as fh:
+            # the root may have no live rule, and so no line, when zeros are left out
+            back = parse_rules(fh.read(), root=g.root if include_zero else None)
+    assert back.rules() == [r for r in g.rules() if include_zero or r.prob > 0.0]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from xpcfg.chart import cyk_fill, format_tree, viterbi_parse
+from xpcfg.chart import NoParseError, ParseError, cyk_fill, format_tree, viterbi_parse
 from xpcfg.generate import GenConfig, sample_corpus
 from xpcfg.grammar import GrammarError
 from xpcfg.scoring import (
@@ -19,6 +19,20 @@ from xpcfg.scoring import (
 
 def bs(spans, length):
     return BracketSet(frozenset(spans), length)
+
+
+def per_sentence_scores(grammar, golds):
+    """Each gold tree's score from its own inside chart and Viterbi parse;
+    None where the yield has no parse or a token outside the vocabulary."""
+    scores = []
+    for gold in golds:
+        try:
+            cand, _ = viterbi_parse(cyk_fill(grammar, gold.tokens()), grammar)
+        except (ParseError, NoParseError):
+            scores.append(None)
+            continue
+        scores.append(geig_score(brackets_of(cand), brackets_of(gold)))
+    return scores
 
 
 class TestBrackets:
@@ -186,3 +200,38 @@ class TestEvaluateCorpus:
         assert "Sentences Parsed (No. / %)" in text
         assert "Total Recall (%)" in text
         assert "Average Crossings" in text
+
+    @pytest.mark.parametrize("grammar", ["xbar_cnf", "xbar_implicit"])
+    def test_batched_matches_per_sentence(self, request, xbar_cnf, grammar):
+        # gold trees of mixed lengths, the explicit grammar's parses and
+        # right-branching trees in turn, with a repeated yield, plus a yield
+        # with no parse and one with a token outside the vocabulary, in an
+        # order that mixes them
+        grammar = request.getfixturevalue(grammar)
+        corpus = sample_corpus(xbar_cnf, GenConfig(count=30, seed=21, max_length=12))
+        golds = [viterbi_parse(cyk_fill(xbar_cnf, s), xbar_cnf)[0] if i % 2 else
+                 parse_tree_text("".join("(S %s " % w for w in s[:-1]) + s[-1] + ")" * (len(s) - 1))
+                 for i, s in enumerate(corpus)]
+        golds[7:7] = [golds[2], parse_tree_text("(S (X chases) (Y chases))"),
+                      parse_tree_text("(S (N the dog) (V chases))"), golds[2]]
+        golds.append(golds[8])
+        assert len({len(g.tokens()) for g in golds}) > 3
+        expected = per_sentence_scores(grammar, golds)
+        assert expected[8] is None and expected[9] is None
+        assert len({(s.recall, s.precision, s.crossings) for s in expected if s}) > 3
+        score = evaluate_corpus(grammar, golds)
+        assert score.per_sentence == expected
+        parsed = [s for s in expected if s is not None]
+        lengths = [len(g.tokens()) for g, s in zip(golds, expected) if s is not None]
+        matched = sum(s.matched for s in parsed)
+        candidates = sum(s.candidate_count for s in parsed)
+        gold_count = sum(s.gold_count for s in parsed)
+        crossings = sum(s.crossings for s in parsed)
+        assert (score.sentences_total, score.sentences_parsed) == (len(golds), len(parsed))
+        assert (score.matched, score.candidate_count, score.gold_count) == (matched, candidates,
+                                                                            gold_count)
+        assert score.recall == 100.0 * matched / gold_count
+        assert score.precision == 100.0 * matched / candidates
+        assert score.total_crossings == crossings
+        assert score.avg_crossings == crossings / len(parsed)
+        assert score.avg_sentence_length == sum(lengths) / len(parsed)
