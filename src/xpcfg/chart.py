@@ -11,26 +11,30 @@ for each daughter pair, plus each rule's log-probability, maximised per
 mother.  It keeps no backpointers; the best tree's rule and split at each
 node are found again at extraction, by repeating the fill's sums.
 Derivation counts are float64 while below 2^53, where such sums are exact,
-and exact Python integers from the first span width that reaches it.
+and exact Python integers from the first span width at which any sentence of
+the batch reaches it.
 
 Every pass fills the chart one span width at a time, widest first for the
 reverse pass: the daughters (or the parents and siblings) of all cells of
 the width are gathered as (cells, splits, nonterminals) blocks and combined
 by a few array operations, so no pass loops over cells in Python.
 
-The inside, Viterbi and reverse passes run on a batch of B sentences of one
-length n at a time, laid out as one (B, n, n + 1, N) table: flat cell ids
-only gain an offset of b * n * (n + 1), so each span width is one gather per
-side and one set of array operations for the whole batch.  A single sentence
-is a batch of one (cyk_fill, expected_counts); fill_batches and
-viterbi_charts cut a corpus into batches of bounded size.  Derivation
-counting runs on one sentence's chart.
+A length batch of B sentences of one length n owns every table of its
+sentences, each laid out as one (B, n, n + 1, N) table and filled for the
+whole batch on first use: flat cell ids only gain an offset of
+b * n * (n + 1), so each span width is one gather per side and one set of
+array operations for the whole batch.  The three forward fills, _fill
+(inside), _fill_viterbi and _fill_counts, take the same (index, (B, n) word
+ids); the reverse pass, batch_counts, runs on a filled batch.  A Chart is
+one row of its batch's tables.  batches cuts a corpus into batches of
+bounded size; a single sentence is a batch of one (cyk_fill).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,28 +146,21 @@ def _index(grammar):
 
 
 class Chart:
-    """Packed chart over half-open spans (start, end) of one sentence, with
-    its (n,) word ids.  Its inside and Viterbi tables are views into the
-    tables of the batch they were filled in, or are filled as a batch of one
-    on first use, as derivation counts are."""
+    """Packed chart over half-open spans (start, end) of sentence b of a
+    Batch: row b of the batch's tables, which the batch fills on first use."""
 
-    def __init__(self, grammar, tokens, words, inside=None, vit=None):
-        self.grammar = grammar
-        self.tokens = list(tokens)
-        self.n = len(tokens)
-        self.words = words
-        self.index = _index(grammar)
-        self._inside = inside
-        self._vit = vit
-        self._counts = None
+    def __init__(self, batch, b):
+        self.batch, self.b = batch, b
+        self.index = batch.idx
+        self.grammar = batch.idx.grammar
+        self.tokens = list(batch.sentences[b])
+        self.n = len(self.tokens)
 
     # -- inside ------------------------------------------------------------
 
     def inside_tables(self):
-        if self._inside is None:
-            batch = _fill(self.index, [self.tokens], self.words[None])
-            self._inside = batch.inside_m[0], batch.inside_s[0]
-        return self._inside
+        mantissas, scales = self.batch.inside
+        return mantissas[self.b], scales[self.b]
 
     def inside_log(self, start, end, label):
         mantissas, scales = self.inside_tables()
@@ -175,7 +172,7 @@ class Chart:
         return 0.0 if lp == NEG_INF else math.exp(lp)
 
     def sentence_logprob(self):
-        return self.inside_log(0, self.n, self.grammar.root)
+        return self.batch.logprobs[self.b]
 
     def sentence_prob(self):
         return self.inside(0, self.n, self.grammar.root)
@@ -183,37 +180,15 @@ class Chart:
     # -- Viterbi -----------------------------------------------------------
 
     def viterbi_tables(self):
-        if self._vit is None:
-            self._vit = _fill_viterbi(self.index, self.words[None])[0]
-        return self._vit
+        return self.batch.viterbi[self.b]
 
     def viterbi_log(self):
         return float(self.viterbi_tables()[0, self.n, self.index.root_i])
 
     # -- derivation counting -----------------------------------------------
 
-    def _fill_counts(self):
-        idx = self.index
-        n, N = self.n, idx.n_nts
-        counts, rules = np.zeros((n, n + 1, N)), idx.pair_n
-        counts.reshape(-1, N)[1::n + 2] = idx.word_n[self.words]
-        for span in range(2, n + 1):
-            cells, lft, rgt = _width(n, span)
-            cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
-            # float64 sums of non-negative integers are exact below 2^53 and
-            # reach 2^53 only where the exact sums do: from the first width
-            # that reaches it, the chart is Python ints
-            if counts.dtype != object and cell.max() >= 2.0 ** 53:
-                counts = counts.astype(np.int64).astype(object)
-                rules = rules.astype(np.int64).astype(object)
-                cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
-            counts.reshape(-1, N)[cells] = cell
-        self._counts = counts
-
     def count(self, start, end, label):
-        if self._counts is None:
-            self._fill_counts()
-        return int(self._counts[start, end, self.index.nt_i[label]])
+        return int(self.batch.counts[self.b, start, end, self.index.nt_i[label]])
 
 
 def _width(n, span, batch=1):
@@ -273,23 +248,44 @@ def _store(m, s, ids, cell, top):
     s.reshape(-1)[ids] = top[live] + np.log(peak[live])
 
 
-@dataclass
 class Batch:
-    """Inside tables of B sentences of one length n: mantissas (B, n, n + 1, N)
-    and log-scales (B, n, n + 1), with the sentences' word ids (B, n) and
-    root log-probabilities (NEG_INF for a sentence with no parse)."""
-    sentences: list
-    words: np.ndarray
-    inside_m: np.ndarray
-    inside_s: np.ndarray
-    logprobs: list
+    """B sentences of one length n, with their (B, n) word ids, and the tables
+    of all of them, each filled for the whole batch on first use: inside
+    mantissas (B, n, n + 1, N) and log-scales (B, n, n + 1), root
+    log-probabilities (NEG_INF for a sentence with no parse), the Viterbi
+    table and derivation counts."""
+
+    def __init__(self, idx, sentences, words):
+        self.idx, self.sentences, self.words = idx, sentences, words
+
+    @cached_property
+    def inside(self):
+        return _fill(self.idx, self.words)
+
+    @cached_property
+    def logprobs(self):
+        (m, s), n = self.inside, self.words.shape[1]
+        root = m[:, 0, n, self.idx.root_i].tolist()
+        return [math.log(r) + t if r else NEG_INF for r, t in zip(root, s[:, 0, n].tolist())]
+
+    @cached_property
+    def viterbi(self):
+        return _fill_viterbi(self.idx, self.words)
+
+    @cached_property
+    def counts(self):
+        return _fill_counts(self.idx, self.words)
+
+    def charts(self):
+        return [Chart(self, b) for b in range(len(self.sentences))]
 
 
-def _batches(idx, sentences):
-    """Token sequences grouped by length and cut into batches of at most
-    _BATCH_BLOCK elements; yields each batch with its (B, n) word ids.
-    Empty sentences and those with a token outside the vocabulary are left
-    out."""
+def batches(grammar, sentences):
+    """Distinct token sequences grouped by length and cut into batches of at
+    most _BATCH_BLOCK elements; yields each Batch, whose tables are filled as
+    they are asked for.  Empty sentences and those with a token outside the
+    vocabulary are left out."""
+    idx = _index(grammar)
     by_length = {}
     for tokens in sentences:
         if tokens and all(tok in idx.word_i for tok in tokens):
@@ -298,13 +294,13 @@ def _batches(idx, sentences):
         size = max(1, _BATCH_BLOCK // (n * (n + 1) * idx.n_nts ** 2))
         for at in range(0, len(group), size):
             batch = group[at:at + size]
-            yield batch, np.array([[idx.word_i[tok] for tok in tokens] for tokens in batch])
+            yield Batch(idx, batch, np.array([[idx.word_i[tok] for tok in tokens] for tokens in batch]))
 
 
-def _fill(idx, sentences, words):
-    """Inside pass over a batch of token sequences of one length n, with
-    their (B, n) word ids: each span width is one gather, one shared scale
-    and one combine over the cells of every sentence."""
+def _fill(idx, words):
+    """Inside pass over a batch of (B, n) word ids, returning its mantissas
+    and log-scales: each span width is one gather, one shared scale and one
+    combine over the cells of every sentence."""
     B, n = words.shape
     m = np.zeros((B, n, n + 1, idx.n_nts))
     s = np.full((B, n, n + 1), NEG_INF)
@@ -315,9 +311,7 @@ def _fill(idx, sentences, words):
         cells, lft, rgt = _width(n, span, B)
         w, top = _shared_scale(s.take(lft) + s.take(rgt))
         _store(m, s, cells, _combine(_take(m, lft) * w[:, :, None], _take(m, rgt), idx.pair_p), top)
-    root = m[:, 0, n, idx.root_i].tolist()
-    logprobs = [math.log(r) + t if r else NEG_INF for r, t in zip(root, s[:, 0, n].tolist())]
-    return Batch(sentences, words, m, s, logprobs)
+    return m, s
 
 
 def _fill_viterbi(idx, words):
@@ -341,22 +335,24 @@ def _fill_viterbi(idx, words):
     return vit
 
 
-def fill_batches(grammar, sentences):
-    """Inside pass over distinct token sequences, a batch of one length at a
-    time (see _batches); yields each Batch."""
-    idx = _index(grammar)
-    for batch, words in _batches(idx, sentences):
-        yield _fill(idx, batch, words)
-
-
-def viterbi_charts(grammar, sentences):
-    """Max-plus fill over distinct token sequences, batched as fill_batches
-    batches them; yields each sentence's Chart, whose Viterbi table is a view
-    into its batch's.  Its inside tables are filled only if asked for."""
-    idx = _index(grammar)
-    for batch, words in _batches(idx, sentences):
-        for tokens, row, vit in zip(batch, words, _fill_viterbi(idx, words)):
-            yield Chart(grammar, tokens, row, vit=vit)
+def _fill_counts(idx, words):
+    """Exact derivation counts over a batch of (B, n) word ids, returning its
+    (B, n, n + 1, N) table: the inside combine over rule multiplicities."""
+    (B, n), N = words.shape, idx.n_nts
+    counts, rules = np.zeros((B, n, n + 1, N)), idx.pair_n
+    counts.reshape(B, -1, N)[:, 1::n + 2] = idx.word_n[words]  # as in _fill
+    for span in range(2, n + 1):
+        cells, lft, rgt = _width(n, span, B)
+        cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
+        # float64 sums of non-negative integers are exact below 2^53 and
+        # reach 2^53 only where the exact sums do: from the first width
+        # that reaches it, the batch's table is Python ints
+        if counts.dtype != object and cell.max() >= 2.0 ** 53:
+            counts = counts.astype(np.int64).astype(object)
+            rules = rules.astype(np.int64).astype(object)
+            cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
+        counts.reshape(-1, N)[cells] = cell
+    return counts
 
 
 def cyk_fill(grammar, tokens):
@@ -373,28 +369,29 @@ def cyk_fill(grammar, tokens):
     for i, tok in enumerate(tokens):
         if tok not in idx.word_i:
             raise ParseError("unknown token %r at position %d" % (tok, i))
-    batch = _fill(idx, [tokens], np.array([[idx.word_i[tok] for tok in tokens]]))
-    return Chart(grammar, tokens, batch.words[0], (batch.inside_m[0], batch.inside_s[0]))
+    batch = Batch(idx, [tokens], np.array([[idx.word_i[tok] for tok in tokens]]))
+    batch.inside  # the inside pass runs here, not at first use
+    return Chart(batch, 0)
 
 
 def expected_counts(grammar, tokens, chart=None):
     """Expected usage count per rule for one sentence, indexed by rule id:
-    batch_counts on a batch of one."""
+    batch_counts on the chart's batch, weighted to the chart's sentence."""
     if chart is None:
         chart = cyk_fill(grammar, tokens)
-    root_lp = chart.sentence_logprob()
-    if root_lp == NEG_INF:
+    if chart.sentence_logprob() == NEG_INF:
         raise NoParseError("expected counts undefined: sentence has no parse")
-    m, s = chart.inside_tables()
+    weights = np.zeros(len(chart.batch.sentences))
+    weights[chart.b] = 1.0
     counts = np.zeros(len(grammar.rules()))
-    batch_counts(grammar, Batch([chart.tokens], chart.words[None], m[None], s[None], [root_lp]),
-                 [1.0], counts)
+    batch_counts(grammar, chart.batch, weights, counts)
     return counts
 
 
 def batch_counts(grammar, batch, weights, counts):
     """Add to counts (indexed by rule id) weights[b] times the expected usage
-    count of each rule in each parseable sentence b of a batch:
+    count of each rule in each parseable sentence b of a batch whose weight
+    is not 0:
 
     count(r) = sum over applications of r of
         outside(mother) * prob(r) * inside(daughters) / inside(root).
@@ -407,10 +404,10 @@ def batch_counts(grammar, batch, weights, counts):
     books the counts of the applications whose left daughter is a cell of
     the width.  outside(0, n, root) = 1.
     """
-    live = [b for b, lp in enumerate(batch.logprobs) if lp != NEG_INF]
+    live = [b for b, (lp, w) in enumerate(zip(batch.logprobs, weights)) if lp != NEG_INF and w]
     if not live:
         return
-    in_m, in_s, words = batch.inside_m, batch.inside_s, batch.words
+    (in_m, in_s), words = batch.inside, batch.words
     if len(live) < len(batch.logprobs):
         in_m, in_s, words = in_m[live], in_s[live], words[live]
     root_lp = np.array([batch.logprobs[b] for b in live])
@@ -551,12 +548,11 @@ def count_parses(chart):
     return chart.count(0, chart.n, chart.grammar.root)
 
 
-def likelihood_ratio(chart, viterbi_prob=None):
+def likelihood_ratio(chart):
     """Ratio of the most probable parse to the total parse probability.
 
     Both come from the chart's log-domain tables, so the ratio stays defined
-    where either probability underflows; viterbi_prob, the probability
-    viterbi_parse returns, adds nothing to them and is not used."""
+    where either probability underflows."""
     all_lp = chart.sentence_logprob()
     if all_lp == NEG_INF:
         raise NoParseError("likelihood ratio undefined: sentence has no parse")

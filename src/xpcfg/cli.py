@@ -51,10 +51,10 @@ def _detect_and_load_grammar(path, root=None):
     return parse_rules(text, root=root)
 
 
-def _write_manifest(out_path, subcommand, args, started):
+def _write_manifest(args, started):
     config = {k: v for k, v in vars(args).items() if k not in ("func",)}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "inputs": {k: v for k, v in config.items()
                    if k in ("grammar", "corpus", "gold") and v is not None},
         "seed": config.get("seed"),
@@ -62,38 +62,38 @@ def _write_manifest(out_path, subcommand, args, started):
         "toolkit_version": __version__,
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    with open(out_path + ".manifest.json", "w") as fh:
+    with open(args.output + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _emit(args, text):
+    """Write text to the -o file if one is given, else to stdout."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_compile(args):
-    started = time.time()
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
     ne, ni = cnf.nonzero_counts()
     print("%d nonterminals, %d terminals, %d rules (root %s)"
           % (len(cnf.nonterminals), len(cnf.terminals), ne + ni, cnf.root))
     if args.output:
         save_rules(cnf, args.output)
-        _write_manifest(args.output, "compile", args, started)
     return 0
 
 
 def cmd_implicit(args):
-    started = time.time()
     with open(args.grammar) as fh:
         g = parse_grammar(fh.read())
     cnf = compile_cnf(g, root=args.root)
     implicit = enumerate_implicit(cnf, g.constraints)
     if args.list_only:
-        lines = ["%s --> %s %s  implicit" % (c.mother, c.d1, c.d2) for c in implicit]
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-            _write_manifest(args.output, "implicit", args, started)
-        else:
-            sys.stdout.write(text)
+        _emit(args, "\n".join("%s --> %s %s  implicit" % (c.mother, c.d1, c.d2)
+                               for c in implicit) + "\n")
         print("%d implicit rules licensed" % len(implicit))
         return 0
     ig = build_implicit_grammar(cnf, implicit, floor=args.floor, init=args.init, seed=args.seed)
@@ -101,42 +101,25 @@ def cmd_implicit(args):
     print("%d rules: %d explicit + %d implicit" % (ne + ni, ne, ni))
     if args.output:
         save_rules(ig, args.output)
-        _write_manifest(args.output, "implicit", args, started)
     return 0
 
 
 def cmd_generate(args):
-    started = time.time()
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
     config = GenConfig(count=args.count, seed=args.seed,
                        max_depth=args.max_depth, max_length=args.max_length)
     corpus = sample_corpus(cnf, config)
-    text = corpus_to_text(corpus)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.output, "generate", args, started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, corpus_to_text(corpus))
     print("%d sentences, %d tokens" % (len(corpus), sum(len(s) for s in corpus)), file=sys.stderr)
     return 0
 
 
 def cmd_palindromes(args):
-    started = time.time()
-    corpus = sample_palindromes(args.count, seed=args.seed)
-    text = corpus_to_text(corpus)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.output, "palindromes", args, started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, corpus_to_text(sample_palindromes(args.count, seed=args.seed)))
     return 0
 
 
 def cmd_train(args):
-    started = time.time()
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
     corpus = load_corpus(args.corpus)
     config = TrainConfig(max_iterations=args.max_iter, convergence_tol=args.tol,
@@ -156,17 +139,13 @@ def cmd_train(args):
           % (100 * report.coverage_before, 100 * report.coverage_after, report.skipped))
     if args.output:
         save_rules(report.grammar, args.output)
-        _write_manifest(args.output, "train", args, started)
     return 0
 
 
 def cmd_parse(args):
-    started = time.time()
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
-    corpus = load_corpus(args.corpus)
-
     out = []
-    for tokens in corpus:
+    for tokens in load_corpus(args.corpus):
         out.append(" ".join(tokens))
         try:
             report = parse_report(cnf, tokens)
@@ -176,13 +155,7 @@ def cmd_parse(args):
             out.append(format_tree(report.tree, style=args.format))
             out.append(format_report(report))
         out.append("")
-    text = "\n".join(out)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.output, "parse", args, started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(out))
     return 0
 
 
@@ -229,57 +202,46 @@ def build_parser():
                     "train inside-outside, parse and evaluate.")
     parser.add_argument("--version", action="version", version="xpcfg " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    grammar = argparse.ArgumentParser(add_help=False)
+    grammar.add_argument("--grammar", required=True)
+    grammar.add_argument("--root", default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, *parents, **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
         p.set_defaults(func=fn)
         return p
 
-    p = add("compile", cmd_compile, help="compile a grammar file to CNF rules")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
-    p.add_argument("-o", "--output", default=None)
+    add("compile", cmd_compile, grammar, output, help="compile a grammar file to CNF rules")
 
-    p = add("implicit", cmd_implicit, help="add constraint-licensed implicit rules")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
+    p = add("implicit", cmd_implicit, grammar, output, help="add constraint-licensed implicit rules")
     p.add_argument("--floor", type=float, default=0.01)
     p.add_argument("--init", choices=["deterministic", "seeded-random"],
                    default="deterministic")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--list-only", action="store_true",
                    help="dump the licensed rule list instead of a grammar")
-    p.add_argument("-o", "--output", default=None)
 
-    p = add("generate", cmd_generate, help="sample sentences from a grammar")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
+    p = add("generate", cmd_generate, grammar, output, help="sample sentences from a grammar")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=100)
     p.add_argument("--max-length", type=int, default=100)
-    p.add_argument("-o", "--output", default=None)
 
-    p = add("palindromes", cmd_palindromes, help="sample from the mirror language")
+    p = add("palindromes", cmd_palindromes, output, help="sample from the mirror language")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
 
-    p = add("train", cmd_train, help="inside-outside re-estimation on a corpus")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
+    p = add("train", cmd_train, grammar, output, help="inside-outside re-estimation on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--max-iter", type=int, default=30)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--prune", type=float, default=1e-5)
-    p.add_argument("-o", "--output", default=None)
 
-    p = add("parse", cmd_parse, help="Viterbi-parse sentences and report stats")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
+    p = add("parse", cmd_parse, grammar, output, help="Viterbi-parse sentences and report stats")
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["paren", "appendix3"], default="paren")
-    p.add_argument("-o", "--output", default=None)
 
     p = add("count", cmd_count, help="derivation counts, exact")
     p.add_argument("--unconstrained", nargs=2, type=int, metavar=("N", "NTS"),
@@ -288,25 +250,26 @@ def build_parser():
     p.add_argument("--root", default=None)
     p.add_argument("--corpus", default=None)
 
-    p = add("entropy", cmd_entropy, help="per-word entropy of a corpus under a grammar")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
+    p = add("entropy", cmd_entropy, grammar, help="per-word entropy of a corpus under a grammar")
     p.add_argument("--corpus", required=True)
     p.add_argument("--label", default="corpus")
 
-    p = add("eval", cmd_eval, help="bracket recall/precision/crossings against gold trees")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--root", default=None)
+    p = add("eval", cmd_eval, grammar, help="bracket recall/precision/crossings against gold trees")
     p.add_argument("--gold", required=True)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run a subcommand; after it succeeds, write <output>.manifest.json
+    beside the file it wrote, if any."""
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        code = args.func(args)
+        if getattr(args, "output", None):
+            _write_manifest(args, started)
+        return code
     except (GrammarError, ParseError, NoParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

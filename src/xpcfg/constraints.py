@@ -168,23 +168,17 @@ def _is_phrasal(category):
     return bar is not None and bar >= 1
 
 
-def enumerate_implicit(cnf, constraints, aliases=None, categories=None,
-                       phrasal_second=None):
-    """All rule candidates licensed by the constraints but absent from the
-    explicit grammar, in lexicographic (mother, d1, d2) order.
+def enumerate_implicit(cnf, constraints):
+    """All rule candidates over the grammar's nonterminals licensed by the
+    constraints but absent from the explicit grammar, in lexicographic
+    (mother, d1, d2) order.
 
-    ``phrasal_second`` forces or suppresses the phrasal-second-daughter
-    requirement; by default it is active exactly when some constraint
+    The second daughter must be phrasal exactly when some constraint
     restricts preterminal introduction (see module docstring).
     """
-    if aliases is None:
-        aliases = cnf.nonterminals
-    if categories is None:
-        categories = cnf.categories
-    aliases = sorted(aliases)
+    aliases, categories = sorted(cnf.nonterminals), cnf.categories
     explicit = cnf.binary_rule_set()
-    if phrasal_second is None:
-        phrasal_second = any(c.restricts_preterminal_introduction() for c in constraints)
+    phrasal_second = any(c.restricts_preterminal_introduction() for c in constraints)
 
     mothers = sorted(_licensed_mothers(constraints, aliases, categories))
     second = [a for a in aliases if not phrasal_second or _is_phrasal(categories[a])]
@@ -209,8 +203,8 @@ def build_implicit_grammar(cnf, implicit, floor, init="deterministic", seed=None
     noise in [0.5, 1.5].  Existing rules are rescaled proportionally so each
     mother's distribution still sums to one.
     """
-    if floor <= 0.0:
-        raise GrammarError("floor probability must be nonzero")
+    if not floor > 0.0:  # NaN fails too
+        raise GrammarError("floor probability must be positive")
     if init not in ("deterministic", "seeded-random"):
         raise GrammarError("init must be 'deterministic' or 'seeded-random'")
     rng = random.Random(seed) if init == "seeded-random" else None
@@ -223,7 +217,7 @@ def build_implicit_grammar(cnf, implicit, floor, init="deterministic", seed=None
         implicit_mass[cand.mother] = implicit_mass.get(cand.mother, 0.0) + p
 
     for mother, mass in implicit_mass.items():
-        if mass >= 1.0:
+        if not mass < 1.0:
             raise GrammarError(
                 "implicit floor mass %.4f for mother %r leaves no probability for "
                 "explicit rules" % (mass, mother))

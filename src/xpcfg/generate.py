@@ -18,9 +18,10 @@ class GenConfig:
     max_length: int = 100
 
     def validate(self):
-        if self.count < 1:
+        # each check is written so that NaN fails it
+        if not self.count >= 1:
             raise ValueError("count must be at least 1")
-        if self.max_depth < 1 or self.max_length < 1:
+        if not (self.max_depth >= 1 and self.max_length >= 1):
             raise ValueError("derivation caps must be at least 1")
 
 
@@ -150,28 +151,14 @@ def ergodic_grammar(nonterminals, terminals, root=None, seed=None):
     terminals = list(terminals)
     if root is None:
         root = nonterminals[0]
-    binary, lexical = [], []
-    weights = {}
+    pairs = [(b, c) for b in nonterminals for c in nonterminals]
+    brules, lrules = [], []
     for a in nonterminals:
-        ws = []
-        for b in nonterminals:
-            for c in nonterminals:
-                ws.append(rng.uniform(0.5, 1.5))
-                binary.append((a, b, c))
-        for t in terminals:
-            ws.append(rng.uniform(0.5, 1.5))
-            lexical.append((a, t))
-        weights[a] = ws
-    totals = {a: sum(ws) for a, ws in weights.items()}
-    cursor = {a: 0 for a in nonterminals}
-
-    def next_prob(a):
-        p = weights[a][cursor[a]] / totals[a]
-        cursor[a] += 1
-        return p
-
-    brules = [BinaryRule(a, b, c, next_prob(a)) for a, b, c in binary]
-    lrules = [LexRule(a, t, next_prob(a)) for a, t in lexical]
+        ws = [rng.uniform(0.5, 1.5) for _ in range(len(pairs) + len(terminals))]
+        total = sum(ws)
+        ps = [w / total for w in ws]
+        brules += [BinaryRule(a, b, c, p) for (b, c), p in zip(pairs, ps)]
+        lrules += [LexRule(a, t, p) for t, p in zip(terminals, ps[len(pairs):])]
     return CnfGrammar(nonterminals, terminals, brules, lrules, root)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 
 class GrammarError(Exception):
@@ -46,12 +47,6 @@ class Category:
 
     def get(self, feature):
         return self._assign.get(feature)
-
-    def has(self, feature):
-        return feature in self._assign
-
-    def features(self):
-        return self._assign.keys()
 
     def items(self):
         return self._assign.items()
@@ -183,9 +178,6 @@ class Grammar:
 
     def feature_map(self):
         return {f.name: f for f in self.features}
-
-    def alias_map(self):
-        return {a.name: a for a in self.aliases}
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +516,9 @@ def grammar_to_text(g):
 
 
 def _fmt_prob(p):
-    s = "%.10g" % p
-    return s if "." in s or "e" in s else s + ".0"
+    """The shortest positional decimal that reads back as p: the grammar
+    syntax has no exponents."""
+    return format(Decimal(repr(p)), "f")
 
 
 def _pattern_to_text(pat):
@@ -620,16 +613,14 @@ class CnfGrammar:
         """Combined rule list; index order defines rule ids."""
         return self.binary + self.lexical
 
-    def mother_totals(self, nonzero_only=False):
+    def mother_totals(self):
         totals = {}
         for r in self.rules():
-            if nonzero_only and r.prob == 0.0:
-                continue
             totals[r.mother] = totals.get(r.mother, 0.0) + r.prob
         return totals
 
     def check_normalized(self, tol=1e-9):
-        bad = {m: t for m, t in self.mother_totals().items() if abs(t - 1.0) > tol}
+        bad = {m: t for m, t in self.mother_totals().items() if not abs(t - 1.0) <= tol}
         if bad:
             raise GrammarError("mother distributions not normalised: %s" % sorted(bad.items()))
 
@@ -675,40 +666,19 @@ def compile_cnf(grammar, root=None):
     if root not in alias_names:
         raise GrammarError("unknown root alias %r" % root)
 
-    by_mother = {}
-    entries = []  # (kind, decl) in declaration order
+    by_mother = {}  # mother -> its rules' probabilities: PS rules, then words
     for r in grammar.ps_rules:
         by_mother.setdefault(r.mother, []).append(r.prob)
-        entries.append(("b", r))
     for w in grammar.words:
         by_mother.setdefault(w.preterminal, []).append(w.prob)
-        entries.append(("l", w))
+    totals = {m: sum(1.0 / len(ps) if p is None else p for p in ps) for m, ps in by_mother.items()}
 
-    filled = {}
-    for mother, probs in by_mother.items():
-        n = len(probs)
-        vals = [1.0 / n if p is None else p for p in probs]
-        total = sum(vals)
-        filled[mother] = [v / total for v in vals]
+    def share(mother, p):
+        return (1.0 / len(by_mother[mother]) if p is None else p) / totals[mother]
 
-    cursor = {m: 0 for m in by_mother}
-    binary, lexical = [], []
-    for kind, decl in entries:
-        mother = decl.mother if kind == "b" else decl.preterminal
-        p = filled[mother][cursor[mother]]
-        cursor[mother] += 1
-        if kind == "b":
-            binary.append(BinaryRule(mother, decl.daughters[0], decl.daughters[1], p))
-        else:
-            lexical.append(LexRule(mother, decl.word, p))
-
-    terminals = []
-    seen = set()
-    for w in grammar.words:
-        if w.word not in seen:
-            seen.add(w.word)
-            terminals.append(w.word)
-
+    binary = [BinaryRule(r.mother, *r.daughters, share(r.mother, r.prob)) for r in grammar.ps_rules]
+    lexical = [LexRule(w.preterminal, w.word, share(w.preterminal, w.prob)) for w in grammar.words]
+    terminals = list(dict.fromkeys(w.word for w in grammar.words))
     return CnfGrammar(alias_names, terminals, binary, lexical, root,
                       {a.name: a.category for a in grammar.aliases})
 

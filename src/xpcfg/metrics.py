@@ -16,7 +16,7 @@ Unparseable sentences are excluded from both sums and reported in the
 infinite.
 
 Sentence log-probabilities come from one inside pass per distinct sentence,
-in batches of one length (chart.fill_batches), mapped back to corpus order.
+in batches of one length (chart.batches), mapped back to corpus order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chart import NEG_INF, NoParseError, fill_batches
+from .chart import NEG_INF, NoParseError, batches
 
 
 @dataclass
@@ -42,7 +42,7 @@ def corpus_logprobs(grammar, corpus):
     Each distinct sentence is parsed once, in batches of one length."""
     corpus = [tuple(tokens) for tokens in corpus]
     logprob = {}
-    for batch in fill_batches(grammar, dict.fromkeys(corpus)):
+    for batch in batches(grammar, dict.fromkeys(corpus)):
         logprob.update(zip(batch.sentences, batch.logprobs))
     return [logprob.get(tokens, NEG_INF) for tokens in corpus]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chart import NEG_INF, Tree, viterbi_charts, viterbi_parse, walk
+from .chart import NEG_INF, Tree, batches, viterbi_parse, walk
 from .grammar import GrammarError
 
 
@@ -154,15 +154,18 @@ def evaluate_corpus(grammar, gold_trees):
     """Viterbi-parse each gold tree's yield and score against its brackets.
 
     Each distinct yield is parsed once, with no inside pass, in batches of
-    one length (chart.viterbi_charts).  Unparsed sentences are excluded from
-    the bracket aggregates but counted in the sentences-parsed figures;
-    recall and precision are micro-averaged over total bracket counts.
+    one length (chart.batches).  Unparsed sentences are excluded from the
+    bracket aggregates but counted in the sentences-parsed figures; recall
+    and precision are micro-averaged over total bracket counts.  Raises
+    ValueError on an empty gold set.
     """
     gold_trees = list(gold_trees)
+    if not gold_trees:
+        raise ValueError("empty gold set")
     yields = [tuple(gold_tree.tokens()) for gold_tree in gold_trees]
-    charts = viterbi_charts(grammar, dict.fromkeys(yields))
     best = {tuple(chart.tokens): viterbi_parse(chart, grammar)[0]
-            for chart in charts if chart.viterbi_log() != NEG_INF}
+            for batch in batches(grammar, dict.fromkeys(yields))
+            for chart in batch.charts() if chart.viterbi_log() != NEG_INF}
     score = CorpusScore(sentences_total=len(gold_trees))
     total_len = 0
     for gold_tree, tokens in zip(gold_trees, yields):

@@ -2,7 +2,7 @@
 corpus, with per-iteration pruning and convergence control.
 
 Each E-step walks the distinct sentences of the corpus, batched by length
-(chart.fill_batches).  Expected rule counts come from the chart module's
+(chart.batches).  Expected rule counts come from the chart module's
 reverse pass over each batch (chart.batch_counts), which fills outside values
 in the chart's scaled representation and books each rule application's
 count, times the sentence's multiplicity in the corpus, as it goes.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import NEG_INF, NoParseError, batch_counts, fill_batches
+from .chart import NEG_INF, NoParseError, batch_counts, batches
 from .chart import expected_counts  # noqa: F401  (re-exported: per-sentence counts)
 from .grammar import BinaryRule, CnfGrammar, GrammarError, LexRule
 from .metrics import corpus_logprobs
@@ -26,12 +26,12 @@ class TrainConfig:
     max_iterations: int = 30
     convergence_tol: float = 1e-4
     prune_threshold: float = 1e-5
-    skip_unparseable: bool = True
 
     def validate(self):
-        if self.max_iterations < 1:
+        # each check is written so that NaN fails it
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be positive")
-        if self.convergence_tol <= 0:
+        if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
         if not 0.0 <= self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in [0, 1)")
@@ -104,7 +104,7 @@ def _estep(grammar, corpus):
     ll = 0.0
     parsed = 0
     freq = Counter(map(tuple, corpus))
-    for batch in fill_batches(grammar, freq):
+    for batch in batches(grammar, freq):
         weights = [freq[tokens] for tokens in batch.sentences]
         for lp, w in zip(batch.logprobs, weights):
             if lp != NEG_INF:
@@ -133,8 +133,6 @@ def train(grammar, corpus, config=None, on_iteration=None):
             report.coverage_before = (len(corpus) - skipped) / len(corpus)
             if skipped == len(corpus):
                 raise NoParseError("no sentence in the corpus is parseable by the grammar")
-            if skipped and not config.skip_unparseable:
-                raise NoParseError("corpus contains unparseable sentences")
         report.log_likelihoods.append(ll)
         report.skipped = skipped
         current = reestimate(current, counts)
@@ -161,14 +159,15 @@ def train(grammar, corpus, config=None, on_iteration=None):
 # Rule-per-line serialisation (the trained-grammar interchange format)
 
 def save_rules(grammar, path, include_zero=False):
-    """Write one rule per line:
+    """Write the root, then one rule per line:
 
+        # root R
         M --> D1 D2 <prob> <explicit|implicit>
         M --> word # <prob> <explicit|implicit>
 
     Probabilities are written in full, so loading the file gives them back.
     """
-    lines = []
+    lines = ["# root %s" % grammar.root]
     for r in grammar.binary:
         if include_zero or r.prob > 0.0:
             lines.append("%s --> %s %s %r %s" % (r.mother, r.left, r.right, float(r.prob), r.origin))
@@ -185,8 +184,12 @@ def parse_rules(text, root=None):
 
     Probabilities are taken verbatim (no renormalisation), so fixtures round
     -trip exactly, but each mother's must sum to 1 within 1e-6, or to 0 when
-    all its rules are zero.  The default root is the first rule's mother.
+    all its rules are zero.  The default root is the one a first line
+    '# root R' names, else the first rule's mother.
     """
+    head = text.split("\n", 1)[0].split()
+    if root is None and len(head) == 3 and head[:2] == ["#", "root"]:
+        root = head[2]
     binary, lexical = [], []
     seen_rules = set()  # (mother, left, right) or (mother, word, "#")
     first_line = {}  # mother -> line of its first rule

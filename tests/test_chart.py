@@ -12,8 +12,10 @@ from xpcfg.grammar import BinaryRule, CnfGrammar, LexRule
 from xpcfg.chart import (
     NoParseError,
     ParseError,
+    batches,
     count_parses,
     cyk_fill,
+    expected_counts,
     format_report,
     format_tree,
     likelihood_ratio,
@@ -21,7 +23,6 @@ from xpcfg.chart import (
     sci_from_log,
     tree_to_paren,
     unconstrained_count,
-    viterbi_charts,
     viterbi_parse,
 )
 from xpcfg.generate import GenConfig, sample_corpus
@@ -106,11 +107,11 @@ class TestViterbi:
         with pytest.raises(NoParseError):
             likelihood_ratio(chart)
 
-    def test_likelihood_ratio_explicit_argument(self, xbar_implicit, sentence14):
+    def test_likelihood_ratio_is_viterbi_over_total(self, xbar_implicit, sentence14):
         chart = cyk_fill(xbar_implicit, sentence14)
         _, best = viterbi_parse(chart, xbar_implicit)
-        ratio = likelihood_ratio(chart, best)
-        assert ratio == pytest.approx(likelihood_ratio(chart), rel=1e-9)
+        ratio = likelihood_ratio(chart)
+        assert ratio == pytest.approx(best / chart.sentence_prob(), rel=1e-9)
         assert 0.0 < ratio <= 1.0
 
     def test_likelihood_ratio_when_viterbi_prob_underflows(self):
@@ -123,7 +124,6 @@ class TestViterbi:
         chart = cyk_fill(g, ["a"] * 120)
         _, prob = viterbi_parse(chart)
         assert prob == 0.0
-        assert likelihood_ratio(chart, prob) == likelihood_ratio(chart)
         assert likelihood_ratio(chart) == pytest.approx(1.0, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("block", [1, 2 ** 11])
@@ -145,13 +145,19 @@ class TestViterbi:
         whole = {s: cyk_fill(xbar_implicit, s) for s in known}
         monkeypatch.setattr(chart_module, "_BATCH_BLOCK", block)
         # the empty sentence and the unknown word are left out
-        charts = list(viterbi_charts(xbar_implicit, dict.fromkeys(known + [(), ("the", "dog")])))
+        charts = [chart for batch in batches(xbar_implicit, dict.fromkeys(known + [(), ("the", "dog")]))
+                  for chart in batch.charts()]
         assert sorted(tuple(c.tokens) for c in charts) == sorted(whole)
         for chart in charts:
             ref = whole[tuple(chart.tokens)]
             assert chart.viterbi_tables().tobytes() == ref.viterbi_tables().tobytes()
-            # the inside tables are filled on first use
+            # the inside and count tables are filled on first use
             assert chart.sentence_logprob() == ref.sentence_logprob()
+            assert count_parses(chart) == count_parses(ref)
+            # expected counts weight the chart's own row of its batch
+            if ref.sentence_logprob() != -math.inf:
+                assert np.array_equal(expected_counts(xbar_implicit, chart.tokens, chart),
+                                      expected_counts(xbar_implicit, chart.tokens, ref))
         batched = max(len(c.viterbi_tables().base) for c in charts) > 1
         assert batched == (block == 2 ** 17)
 
@@ -228,6 +234,14 @@ class TestCounts:
         assert count == math.comb(2 * (n - 1), n - 1) // n
         assert (count < 2 ** 53) == (n <= 31)
         assert (count < 2 ** 63) == (n <= 36)
+
+    def test_batch_counts_exact_across_2_53(self):
+        # one batch of two sentences: the count that passes 2^53 turns the
+        # whole table to Python ints, and the sentence with no parse keeps 0
+        g = CnfGrammar(["S", "B"], ["a", "b"], [BinaryRule("S", "S", "S", 0.25)],
+                       [LexRule("S", "a", 1.0), LexRule("B", "b", 1.0)], root="S")
+        (batch,) = batches(g, [("a",) * 32, ("a",) * 31 + ("b",)])
+        assert [count_parses(chart) for chart in batch.charts()] == [math.comb(62, 31) // 32, 0]
 
     def test_count_zero_iff_inside_zero(self, xbar_cnf):
         chart = cyk_fill(xbar_cnf, FIVE_WORDS)

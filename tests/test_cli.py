@@ -45,12 +45,30 @@ class TestCompile:
         assert manifest["toolkit_version"]
         assert manifest["inputs"]["grammar"] == xbar_path
 
+    def test_rule_file_keeps_its_root(self, capsys, xbar_path, tmp_path):
+        # the first rule's mother is V2; the file records V1, and --root wins
+        out_path = str(tmp_path / "v1.rules")
+        run(capsys, "compile", "--grammar", xbar_path, "--root", "V1", "-o", out_path)
+        code, out, _ = run(capsys, "compile", "--grammar", out_path)
+        assert code == 0
+        assert "(root V1)" in out
+        code, out, _ = run(capsys, "compile", "--grammar", out_path, "--root", "N1")
+        assert "(root N1)" in out
+
 
 class TestImplicit:
     def test_summary(self, capsys, xbar_path):
         code, out, _ = run(capsys, "implicit", "--grammar", xbar_path, "--floor", "0.01")
         assert code == 0
         assert "126 rules: 27 explicit + 99 implicit" in out
+
+    def test_nan_floor_rejected(self, capsys, xbar_path, tmp_path):
+        out_path = tmp_path / "f.rules"
+        code, _, err = run(capsys, "implicit", "--grammar", xbar_path, "--floor", "nan",
+                           "-o", str(out_path))
+        assert code == 1
+        assert "error:" in err
+        assert not out_path.exists()
 
     def test_floor_too_large(self, capsys, xbar_path):
         code, _, err = run(capsys, "implicit", "--grammar", xbar_path, "--floor", "0.04")
@@ -163,6 +181,22 @@ class TestGenerateTrainParse:
         assert code == 0
         assert "Total Recall (%)" in out
         assert "100.00" in out
+
+    def test_nan_tolerance_rejected(self, capsys, xbar_path, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("the cat chases the ball\n")
+        code, _, err = run(capsys, "train", "--grammar", xbar_path, "--corpus", str(corpus),
+                           "--tol", "nan")
+        assert code == 1
+        assert "error:" in err
+
+    def test_empty_gold_set_rejected(self, capsys, xbar_path, tmp_path):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("")
+        code, out, err = run(capsys, "eval", "--grammar", xbar_path, "--gold", str(gold))
+        assert code == 1
+        assert "error: empty gold set" in err
+        assert "Recall" not in out
 
     def test_no_parse_reported(self, capsys, xbar_path, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -195,6 +195,8 @@ class TestBuildImplicitGrammar:
     def test_zero_floor_rejected(self, xbar_cnf, xbar_implicit_rules):
         with pytest.raises(GrammarError, match="floor"):
             build_implicit_grammar(xbar_cnf, xbar_implicit_rules, floor=0.0)
+        with pytest.raises(GrammarError, match="floor"):
+            build_implicit_grammar(xbar_cnf, xbar_implicit_rules, floor=float("nan"))
 
     def test_infeasible_floor_mass_rejected(self, xbar_cnf, xbar_implicit_rules):
         # V2 carries 27 implicit rules; a floor of 0.04 costs mass 1.08

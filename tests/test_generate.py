@@ -100,6 +100,9 @@ class TestSampleCorpus:
             sample_corpus(xbar_cnf, GenConfig(count=0, seed=0))
         with pytest.raises(ValueError):
             sample_corpus(xbar_cnf, GenConfig(count=1, seed=0, max_depth=0))
+        for field in ("count", "max_depth", "max_length"):
+            with pytest.raises(ValueError):
+                sample_corpus(xbar_cnf, GenConfig(seed=0, **{field: float("nan")}))
 
 
 class TestPalindromes:

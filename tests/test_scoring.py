@@ -185,6 +185,10 @@ class TestEvaluateCorpus:
         assert score.total_crossings == 0
         assert score.avg_sentence_length == pytest.approx(5.0)
 
+    def test_empty_gold_set_rejected(self, xbar_cnf):
+        with pytest.raises(ValueError, match="empty gold set"):
+            evaluate_corpus(xbar_cnf, [])
+
     def test_crossings_counted(self, xbar_cnf):
         gold = parse_tree_text("(S the (X cat chases) the ball)")
         score = evaluate_corpus(xbar_cnf, [gold])

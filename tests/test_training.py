@@ -287,11 +287,6 @@ class TestTrain:
         assert report.skipped == 2
         assert report.coverage_before == pytest.approx(1 / 3)
 
-    def test_skip_unparseable_false_rejects(self, xbar_cnf):
-        with pytest.raises(NoParseError):
-            train(xbar_cnf, [FIVE_WORDS, ["chases", "chases"]],
-                  TrainConfig(max_iterations=1, skip_unparseable=False))
-
     def test_nothing_parseable_rejected(self, xbar_cnf):
         with pytest.raises(NoParseError):
             train(xbar_cnf, [["chases", "chases"]], TrainConfig(max_iterations=1))
@@ -305,6 +300,9 @@ class TestTrain:
             train(xbar_cnf, [FIVE_WORDS], TrainConfig(max_iterations=0))
         with pytest.raises(ValueError):
             train(xbar_cnf, [FIVE_WORDS], TrainConfig(prune_threshold=1.0))
+        for field in ("max_iterations", "convergence_tol", "prune_threshold"):
+            with pytest.raises(ValueError):
+                train(xbar_cnf, [FIVE_WORDS], TrainConfig(**{field: math.nan}))
 
     def test_shard_merge_equals_sequential(self, xbar_cnf, xbar_implicit):
         corpus = sample_corpus(xbar_cnf, GenConfig(count=30, seed=3))
