@@ -14,20 +14,23 @@ Derivation counts are float64 while below 2^53, where such sums are exact,
 and exact Python integers from the first span width at which any sentence of
 the batch reaches it.
 
-Every pass fills the chart one span width at a time, widest first for the
-reverse pass: the daughters (or the parents and siblings) of all cells of
-the width are gathered as (cells, splits, nonterminals) blocks and combined
-by a few array operations, so no pass loops over cells in Python.
-
 A length batch of B sentences of one length n owns every table of its
-sentences, each laid out as one (B, n, n + 1, N) table and filled for the
-whole batch on first use: flat cell ids only gain an offset of
-b * n * (n + 1), so each span width is one gather per side and one set of
-array operations for the whole batch.  The three forward fills, _fill
+sentences, filled for the whole batch on first use.  Each table holds every
+cell twice, in one (B, 2, n + 1, n + 1, ...) array: half 0 by start, cell
+(i, i + w) at [b, 0, i, w], and half 1 by end, the same cell at
+[b, 1, i + w, n - w]; _put writes a span width to both.  Cells outside the
+chart hold the table's empty value (0, or -inf for log-scales and Viterbi).
+
+Every pass fills the chart one span width at a time, widest first for the
+reverse pass, and reads each block of a width as a slice of one half, so no
+cell ids are built: the left daughters (i, i + s) by start and the right
+daughters (i + s, i + w) by end, split by split (_daughters), and the
+parents and siblings of each cell as either daughter (_around).  A width is
+a few array operations for the whole batch.  The three forward fills, _fill
 (inside), _fill_viterbi and _fill_counts, take the same (index, (B, n) word
 ids); the reverse pass, batch_counts, runs on a filled batch.  A Chart is
-one row of its batch's tables.  batches cuts a corpus into batches of
-bounded size; a single sentence is a batch of one (cyk_fill).
+one row of its batch's tables; batches cuts a corpus into batches of
+bounded size, and a single sentence is a batch of one (cyk_fill).
 """
 
 from __future__ import annotations
@@ -40,17 +43,11 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-# a batch of B sentences of length n fills (B, n, n + 1, N) tables, and its
-# widest per-width blocks hold up to about B * n * (n + 1) * N^2 elements:
-# batches are cut to at most this many (a longer sentence is a batch of
-# one), which bounds the passes' peak memory on large corpora
+# the widest per-width blocks of a batch of B sentences of length n hold up
+# to about B * n * (n + 1) * N^2 elements: batches are cut to at most this
+# many (a longer sentence is a batch of one), which bounds the passes' peak
+# memory on large corpora
 _BATCH_BLOCK = 2 ** 17
-
-# the ids that _width computes are kept for sentences up to this length
-# (at most 0.8 MB in all), which takes most of the per-width overhead out of
-# the passes over short sentences
-_CACHED_LENGTH = 32
-_WIDTHS = {}
 
 # the reverse pass books a cell's rule counts in the log domain when exp()
 # of its scale relative to the sentence probability could overflow
@@ -158,14 +155,10 @@ class Chart:
 
     # -- inside ------------------------------------------------------------
 
-    def inside_tables(self):
-        mantissas, scales = self.batch.inside
-        return mantissas[self.b], scales[self.b]
-
     def inside_log(self, start, end, label):
-        mantissas, scales = self.inside_tables()
-        m = mantissas[start, end, self.index.nt_i[label]]
-        return NEG_INF if m == 0.0 else math.log(m) + scales[start, end]
+        mantissas, scales = self.batch.inside
+        m = mantissas[self.b, 0, start, end - start, self.index.nt_i[label]]
+        return NEG_INF if m == 0.0 else math.log(m) + scales[self.b, 0, start, end - start]
 
     def inside(self, start, end, label):
         lp = self.inside_log(start, end, label)
@@ -180,80 +173,80 @@ class Chart:
     # -- Viterbi -----------------------------------------------------------
 
     def viterbi_tables(self):
+        """The sentence's (2, n + 1, n + 1, N) Viterbi table: the best
+        log-probability of each span and label, by start at [0, start, width]
+        and by end at [1, end, n - width]."""
         return self.batch.viterbi[self.b]
 
     def viterbi_log(self):
-        return float(self.viterbi_tables()[0, self.n, self.index.root_i])
+        return float(self.viterbi_tables()[0, 0, self.n, self.index.root_i])
 
     # -- derivation counting -----------------------------------------------
 
     def count(self, start, end, label):
-        return int(self.batch.counts[self.b, start, end, self.index.nt_i[label]])
+        return int(self.batch.counts[self.b, 0, start, end - start, self.index.nt_i[label]])
 
 
-def _width(n, span, batch=1):
-    """Cells (i, k = i + span) of one span width in each of a batch of
-    sentences of length n, and their left and right daughters (i, j) and
-    (j, k) at each split j, by flat id b * n * (n + 1) + start * (n + 1) + end
-    in sentence b: cells (batch * cells,) and daughters (batch * cells,
-    splits), cell by cell, sentence after sentence."""
-    ids = _WIDTHS.get((n, span))
-    if ids is None:
-        i = np.arange(n - span + 1)
-        k = i + span
-        js = i[:, None] + np.arange(1, span)
-        ids = i * (n + 1) + k, i[:, None] * (n + 1) + js, js * (n + 1) + k[:, None]
-        if n <= _CACHED_LENGTH:
-            for a in ids:
-                a.flags.writeable = False
-            _WIDTHS[n, span] = ids
-    if batch == 1:
-        return ids
-    off = np.arange(0, batch * n * (n + 1), n * (n + 1))[:, None]
-    cells, lft, rgt = ids
-    return ((off + cells).reshape(-1), (off[:, :, None] + lft).reshape(-1, span - 1),
-            (off[:, :, None] + rgt).reshape(-1, span - 1))
+def _put(t, w, cells):
+    """Write the cells (B, n - w + 1, ...) of span width w, by start, to both
+    halves of a batch table t."""
+    n = t.shape[2] - 1
+    t[:, 0, :n - w + 1, w] = t[:, 1, w:, n - w] = cells
 
 
-def _take(m, ids):
-    """Cells of a chart table m of shape (n, n + 1, N), or (B, n, n + 1, N)
-    for a batch, by flat id (see _width)."""
-    return m.reshape(-1, m.shape[-1]).take(ids, axis=0)
+def _daughters(t, w):
+    """The left daughters (i, i + s) and the right daughters (i + s, i + w)
+    of the cells (i, i + w) of span width w in a batch table t, as
+    (B, cells, splits, ...) slices, split s = 1 .. w - 1 in order."""
+    m = t.shape[2] - w
+    return t[:, 0, :m, 1:w], t[:, 1, w:, m:-1]
 
 
-def _combine(L, R, rules):
-    """Each cell's sum over splits of the products of its (left, right)
-    daughter values, from blocks L and R (cells, splits, N), times a
-    (N * N, N) rule matrix."""
-    return (L.transpose(0, 2, 1) @ R).reshape(len(L), -1) @ rules
+def _around(out, inside, w):
+    """The parents in table out and the siblings in table inside of the
+    cells (i, i + w) of span width w, as (B, cells, rows, ...) slices: as
+    left daughter, (i, i + w + u) and (i + w, i + w + u) for u = 1 .. n - w;
+    as right daughter, (i - u, i + w) and (i - u, i) for u = n - w .. 1.
+    Rows that would pass an end of the sentence are cells outside the chart."""
+    m = out.shape[2] - w
+    return out[:, 0, :m, w + 1:], inside[:, 0, w:, 1:m], out[:, 1, w:, :m - 1], inside[:, 1, :m, w:-1]
+
+
+def _outer(P, Q):
+    """Each cell's (p * N + q) sums over rows of the products of P[row, p]
+    and Q[row, q], from blocks P and Q (B, cells, rows, N), as
+    (B * cells, N * N)."""
+    return (P.swapaxes(-1, -2) @ Q).reshape(-1, P.shape[-1] * Q.shape[-1])
 
 
 def _shared_scale(s):
     """One log-scale per cell for a sum over its rows: the largest of the
-    rows' log-scales s (cells, rows), which are -inf for rows without mass.
+    rows' log-scales s (..., rows), which are -inf for rows without mass.
     Returns each row's weight relative to it, and the scale (0 for a cell
     with no live row)."""
-    top = s.max(axis=1)
+    top = s.max(axis=-1)
     top[top == NEG_INF] = 0.0  # no live row: every weight below is 0
-    return np.exp(s - top[:, None]), top
+    return np.exp(s - top[..., None]), top
 
 
-def _store(m, s, ids, cell, top):
-    """Store values cell (cells, N) under log-scales top at the cells of flat
-    ids as mantissas with maximum 1; cells with no mass keep scale -inf."""
-    peak = cell.max(axis=1)
-    live = peak > 0.0
-    ids = ids[live]
-    m.reshape(-1, m.shape[-1])[ids] = cell[live] / peak[live, None]
-    s.reshape(-1)[ids] = top[live] + np.log(peak[live])
+def _store(m, s, w, cell, top):
+    """Store values cell (B * cells, N) under log-scales top (B, cells) as
+    the width w of mantissas m, with maximum 1, and log-scales s."""
+    cell = cell.reshape(top.shape + cell.shape[-1:])
+    peak = cell.max(axis=-1)
+    dead = peak == 0.0
+    peak[dead] = 1.0  # a cell with no mass is 0 under scale -inf
+    scale = top + np.log(peak)
+    scale[dead] = NEG_INF
+    _put(m, w, cell / peak[..., None])
+    _put(s, w, scale)
 
 
 class Batch:
     """B sentences of one length n, with their (B, n) word ids, and the tables
     of all of them, each filled for the whole batch on first use: inside
-    mantissas (B, n, n + 1, N) and log-scales (B, n, n + 1), root
-    log-probabilities (NEG_INF for a sentence with no parse), the Viterbi
-    table and derivation counts."""
+    mantissas and log-scales, root log-probabilities (NEG_INF for a sentence
+    with no parse), the Viterbi table and derivation counts."""
 
     def __init__(self, idx, sentences, words):
         self.idx, self.sentences, self.words = idx, sentences, words
@@ -265,8 +258,8 @@ class Batch:
     @cached_property
     def logprobs(self):
         (m, s), n = self.inside, self.words.shape[1]
-        root = m[:, 0, n, self.idx.root_i].tolist()
-        return [math.log(r) + t if r else NEG_INF for r, t in zip(root, s[:, 0, n].tolist())]
+        root = m[:, 0, 0, n, self.idx.root_i].tolist()
+        return [math.log(r) + t if r else NEG_INF for r, t in zip(root, s[:, 0, 0, n].tolist())]
 
     @cached_property
     def viterbi(self):
@@ -299,59 +292,58 @@ def batches(grammar, sentences):
 
 def _fill(idx, words):
     """Inside pass over a batch of (B, n) word ids, returning its mantissas
-    and log-scales: each span width is one gather, one shared scale and one
-    combine over the cells of every sentence."""
-    B, n = words.shape
-    m = np.zeros((B, n, n + 1, idx.n_nts))
-    s = np.full((B, n, n + 1), NEG_INF)
-    # cells (i, i + 1) are every (n + 2)-th cell from (0, 1)
-    m.reshape(B, -1, idx.n_nts)[:, 1::n + 2] = idx.word_p[words]
-    s.reshape(B, -1)[:, 1::n + 2] = 0.0
-    for span in range(2, n + 1):
-        cells, lft, rgt = _width(n, span, B)
-        w, top = _shared_scale(s.take(lft) + s.take(rgt))
-        _store(m, s, cells, _combine(_take(m, lft) * w[:, :, None], _take(m, rgt), idx.pair_p), top)
+    and log-scales: each span width is one shared scale and one combine over
+    the cells of every sentence."""
+    (B, n), N = words.shape, idx.n_nts
+    m = np.zeros((B, 2, n + 1, n + 1, N))
+    s = np.full((B, 2, n + 1, n + 1), NEG_INF)
+    _put(m, 1, idx.word_p[words])
+    _put(s, 1, 0.0)
+    for w in range(2, n + 1):
+        (L, R), (Ls, Rs) = _daughters(m, w), _daughters(s, w)
+        rel, top = _shared_scale(Ls + Rs)
+        _store(m, s, w, _outer(L * rel[..., None], R) @ idx.pair_p, top)
     return m, s
 
 
 def _fill_viterbi(idx, words):
     """Max-plus inside pass over a batch of (B, n) word ids, returning its
-    (B, n, n + 1, N) table: per cell of a width, the best sum of left and
-    right daughter log-probabilities over splits for each daughter pair,
-    plus each rule's log-probability, then the best rule per mother."""
+    Viterbi table: per cell of a width, the best sum of left and right
+    daughter log-probabilities over splits for each daughter pair, plus
+    each rule's log-probability, then the best rule per mother."""
     (B, n), N = words.shape, idx.n_nts
-    vit = np.full((B, n, n + 1, N), NEG_INF)
-    flat = vit.reshape(-1, N)
-    vit.reshape(B, -1, N)[:, 1::n + 2] = idx.word_logp[words]  # as in _fill
-    for span in range(2, n + 1) if len(idx.vit_pair) else ():
-        cells, lft, rgt = _width(n, span, B)
-        # (cells, splits, N, N) blocks are cut to _BATCH_BLOCK elements
-        tile = max(1, _BATCH_BLOCK // ((span - 1) * N * N))
-        for t in range(0, len(cells), tile):
-            L, R = _take(vit, lft[t:t + tile]), _take(vit, rgt[t:t + tile])
-            pairs = (L[:, :, :, None] + R[:, :, None, :]).max(axis=1).reshape(len(L), -1)
-            best = np.maximum.reduceat(pairs[:, idx.vit_pair] + idx.vit_logp, idx.vit_first, axis=1)
-            flat[cells[t:t + tile, None], idx.vit_mothers] = best
+    vit = np.full((B, 2, n + 1, n + 1, N), NEG_INF)
+    _put(vit, 1, idx.word_logp[words])
+    for w in range(2, n + 1) if len(idx.vit_pair) else ():
+        lft, rgt = _daughters(vit, w)
+        cell = np.full(lft.shape[:2] + (N,), NEG_INF)
+        # (B, starts, splits, N, N) blocks are cut to _BATCH_BLOCK elements
+        tile = max(1, _BATCH_BLOCK // (B * (w - 1) * N * N))
+        for t in range(0, lft.shape[1], tile):
+            L, R = lft[:, t:t + tile], rgt[:, t:t + tile]
+            pairs = (L[..., :, None] + R[..., None, :]).max(axis=2).reshape(B, -1, N * N)
+            cell[:, t:t + tile, idx.vit_mothers] = np.maximum.reduceat(
+                pairs[..., idx.vit_pair] + idx.vit_logp, idx.vit_first, axis=-1)
+        _put(vit, w, cell)
     return vit
 
 
 def _fill_counts(idx, words):
     """Exact derivation counts over a batch of (B, n) word ids, returning its
-    (B, n, n + 1, N) table: the inside combine over rule multiplicities."""
+    table: the inside combine over rule multiplicities."""
     (B, n), N = words.shape, idx.n_nts
-    counts, rules = np.zeros((B, n, n + 1, N)), idx.pair_n
-    counts.reshape(B, -1, N)[:, 1::n + 2] = idx.word_n[words]  # as in _fill
-    for span in range(2, n + 1):
-        cells, lft, rgt = _width(n, span, B)
-        cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
+    counts, rules = np.zeros((B, 2, n + 1, n + 1, N)), idx.pair_n
+    _put(counts, 1, idx.word_n[words])
+    for w in range(2, n + 1):
+        cell = _outer(*_daughters(counts, w)) @ rules
         # float64 sums of non-negative integers are exact below 2^53 and
         # reach 2^53 only where the exact sums do: from the first width
         # that reaches it, the batch's table is Python ints
         if counts.dtype != object and cell.max() >= 2.0 ** 53:
             counts = counts.astype(np.int64).astype(object)
             rules = rules.astype(np.int64).astype(object)
-            cell = _combine(_take(counts, lft), _take(counts, rgt), rules)
-        counts.reshape(-1, N)[cells] = cell
+            cell = _outer(*_daughters(counts, w)) @ rules
+        _put(counts, w, cell.reshape(B, -1, N))
     return counts
 
 
@@ -399,7 +391,7 @@ def batch_counts(grammar, batch, weights, counts):
     The reverse of the inside pass: one pass over the batch's chart, widest
     spans first, fills the outside values of every cell of a width from its
     parents, those where the cell is the left daughter and those where it is
-    the right one, gathered as one block under one shared scale per cell.
+    the right one, read as slices (_around) under one shared scale per cell.
     Every binary application has exactly one left daughter, so the same step
     books the counts of the applications whose left daughter is a cell of
     the width.  outside(0, n, root) = 1.
@@ -413,45 +405,31 @@ def batch_counts(grammar, batch, weights, counts):
     root_lp = np.array([batch.logprobs[b] for b in live])
     weight = np.array([weights[b] for b in live], dtype=np.float64)
     idx = _index(grammar)
-    B, n, W, N = in_m.shape
-    out_m = np.zeros_like(in_m)
-    out_s = np.full_like(in_s, NEG_INF)
-    out_m[:, 0, n, idx.root_i] = 1.0
-    out_s[:, 0, n] = 0.0
-    flat_in, flat_out = in_m.reshape(-1, N), out_m.reshape(-1, N)
+    n, N = words.shape[1], idx.n_nts
+    out_m, out_s = np.zeros_like(in_m), np.full_like(in_s, NEG_INF)
+    _put(out_m[..., idx.root_i], n, 1.0)
+    _put(out_s, n, 0.0)
     # rules by daughter: (left, right * N + mother), (right, left * N + mother)
     by_left = idx.pair_p.reshape(N, N * N)
     by_right = idx.pair_p.reshape(N, N, N).transpose(1, 0, 2).reshape(N, N * N)
     booked = np.zeros((N, N * N))  # (left, right * N + mother)
 
-    off = np.arange(0, B * n * W, n * W)[:, None, None]  # flat ids, as in _width
-    for span in range(n - 1, 0, -1):
-        # a cell (i, k) has n - span parents, one per row h from k - n to
-        # i - 1: (i, W + h) with right sibling (k, W + h) for h < 0, then
-        # (h, k) with left sibling (h, i)
-        i = np.arange(n - span + 1)
-        k = i + span
-        ic, kc = i[:, None], k[:, None]
-        h = np.arange(n - span) + (kc - n)
-        left = h < 0
-        rows = n - span
-        par = (off + np.where(left, ic * W + W + h, h * W + kc)).reshape(-1, rows)
-        sib = (off + np.where(left, kc * W + W + h, h * W + ic)).reshape(-1, rows)
-        cells = (off[:, :, 0] + i * W + k).reshape(-1)
-        w, top = _shared_scale(out_s.take(par) + in_s.take(sib))
-        w = w.reshape(B, -1, rows)
-        w_left, w_right = (w * left).reshape(-1, 1, rows), (w * ~left).reshape(-1, 1, rows)
-        parents, siblings = flat_out.take(par, axis=0), flat_in.take(sib, axis=0).transpose(0, 2, 1)
-        # (cells, sibling * N + mother) sums for the cell as either daughter
-        as_left = ((siblings * w_left) @ parents).reshape(len(cells), N * N)
-        as_right = ((siblings * w_right) @ parents).reshape(len(cells), N * N)
-        inside = flat_in[cells]
+    for w in range(n - 1, 0, -1):
+        m = n - w + 1
+        par_l, sib_l, par_r, sib_r = _around(out_m, in_m, w)
+        ps_l, ss_l, ps_r, ss_r = _around(out_s, in_s, w)
+        rel, top = _shared_scale(np.concatenate([ps_l + ss_l, ps_r + ss_r], axis=-1))
+        # (cells, sibling * N + mother) sums for the cell as either daughter,
+        # over its n - w rows as each
+        as_left = _outer(sib_l * rel[..., :n - w, None], par_l)
+        as_right = _outer(sib_r * rel[..., n - w:, None], par_r)
+        inside = in_m[:, 0, :m, w].reshape(-1, N)
         cell = as_left @ by_left.T + as_right @ by_right.T
         cell[inside == 0.0] = 0.0  # in no derivation: never used below
-        _store(out_m, out_s, cells, cell, top)
+        _store(out_m, out_s, w, cell, top)
 
-        scale = top + in_s.reshape(-1)[cells] - np.repeat(root_lp, len(i))
-        mult = np.repeat(weight, len(i))
+        scale = (top + in_s[:, 0, :m, w] - root_lp[:, None]).reshape(-1)
+        mult = np.repeat(weight, m)
         low = scale <= _EXP_LIMIT
         booked += (inside[low] * (np.exp(scale[low]) * mult[low])[:, None]).T @ as_left[low]
         if not low.all():  # exp(scale) would overflow: book rule by rule in logs
@@ -463,11 +441,10 @@ def batch_counts(grammar, batch, weights, counts):
                                     * mult[high, None]).sum(axis=0)
     counts[idx.bin_rid] += booked[idx.bin_b, idx.bin_c * N + idx.bin_a] * idx.bin_p
     # lexical rules: outside(i, i + 1, a) / inside(root) summed per word,
-    # times each rule's probability; cells (i, i + 1) as in _fill
-    scale = out_s.reshape(B, -1)[:, 1::n + 2] - root_lp[:, None]
+    # times each rule's probability
+    scale = out_s[:, 0, :n, 1] - root_lp[:, None]
     by_word = np.zeros((len(idx.word_i), N))
-    np.add.at(by_word, words, out_m.reshape(B, -1, N)[:, 1::n + 2]
-              * (np.exp(scale) * weight[:, None])[:, :, None])
+    np.add.at(by_word, words, out_m[:, 0, :n, 1] * (np.exp(scale) * weight[:, None])[:, :, None])
     counts[idx.lex_rid] += by_word[idx.lex_w, idx.lex_a] * idx.lex_p
 
 
@@ -515,17 +492,18 @@ def viterbi_parse(chart, grammar=None):
     """
     idx = chart.index
     vit = chart.viterbi_tables()
-    root_lp = float(vit[0, chart.n, idx.root_i])
+    n = chart.n
+    root_lp = float(vit[0, 0, n, idx.root_i])
     if root_lp == NEG_INF:
         raise NoParseError("no parse for %r" % " ".join(chart.tokens))
     root = Tree(idx.nts[idx.root_i], ())
-    stack = [(root, 0, chart.n, idx.root_i, root_lp)]
+    stack = [(root, 0, n, idx.root_i, root_lp)]
     while stack:
         node, i, k, a, best = stack.pop()
         if k - i == 1:
             node.children = (chart.tokens[i],)
             continue
-        lft, rgt = vit[i, i + 1:k].tolist(), vit[i + 1:k, k].tolist()
+        lft, rgt = vit[0, i, 1:k - i].tolist(), vit[1, k, n - (k - i) + 1:n].tolist()
         b, c, s = _first_match(idx.rules_of[a], lft, rgt, best)
         node.children = (Tree(idx.nts[b], ()), Tree(idx.nts[c], ()))
         stack.append((node.children[0], i, i + 1 + s, b, lft[s][b]))

@@ -17,7 +17,8 @@ from . import __version__
 from .chart import (
     NoParseError,
     ParseError,
-    cyk_fill,
+    batches,
+    count_parses,
     format_report,
     format_tree,
     parse_report,
@@ -167,13 +168,12 @@ def cmd_count(args):
     if not (args.grammar and args.corpus):
         raise SystemExit("count needs either --unconstrained N NTS or --grammar and --corpus")
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
-    for tokens in load_corpus(args.corpus):
-        try:
-            chart = cyk_fill(cnf, tokens)
-            n = chart.count(0, chart.n, cnf.root)
-        except ParseError:
-            n = 0
-        print("%d\t%s" % (n, " ".join(tokens)))
+    corpus = [tuple(tokens) for tokens in load_corpus(args.corpus)]
+    # batches leaves out empty sentences and those with an unknown token: 0
+    counts = {tuple(chart.tokens): count_parses(chart)
+              for batch in batches(cnf, dict.fromkeys(corpus)) for chart in batch.charts()}
+    for tokens in corpus:
+        print("%d\t%s" % (counts.get(tokens, 0), " ".join(tokens)))
     return 0
 
 

@@ -81,8 +81,11 @@ def prune(grammar, threshold):
     """Zero rules below the probability threshold and renormalise per mother.
 
     Returns (grammar, changed); grammars never regain zeroed rules.
+    Raises ValueError unless 0 <= threshold < 1.
     """
-    if threshold <= 0.0:
+    if not 0.0 <= threshold < 1.0:  # written so that NaN fails
+        raise ValueError("prune threshold must lie in [0, 1), not %r" % threshold)
+    if threshold == 0.0:
         return grammar, False
     rules = grammar.rules()
     keep = [r.prob if r.prob >= threshold else 0.0 for r in rules]

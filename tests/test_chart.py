@@ -253,7 +253,7 @@ class TestCounts:
                     lp = chart.inside_log(i, k, a)
                     assert (chart.count(i, k, a) == 0) == (lp == float("-inf"))
                     # the chart's max never exceeds its sum
-                    assert vit[i, k, nt_i[a]] <= lp + 1e-12
+                    assert vit[0, i, k - i, nt_i[a]] <= lp + 1e-12
 
     @pytest.mark.parametrize("case", ["catalan", "sentence14"])
     def test_unit_probability_inside_equals_count(self, case, xbar_implicit, sentence14):
@@ -274,6 +274,32 @@ class TestCounts:
                             assert chart.inside(i, k, a) == pytest.approx(count, rel=1e-12, abs=0)
                             checked += 1
         assert checked == sum(c.n * (c.n + 1) // 2 * len(c.grammar.nonterminals) for c in charts)
+
+
+class TestLayout:
+    def test_halves_agree_and_outside_cells_stay_empty(self, xbar_implicit, sentence14):
+        # every table holds cell (i, i + w) at [b, 0, i, w] and again at
+        # [b, 1, i + w, n - w]; the reverse pass reads the cells outside the
+        # chart, past either end of the sentence, as weight 0
+        known = [tuple(s) for s in sample_corpus(xbar_implicit, GenConfig(count=40, seed=5))]
+        known += [tuple(sentence14), ("chases", "chases")]  # the last has no parse
+        sentences = batched = 0
+        for batch in batches(xbar_implicit, dict.fromkeys(known)):
+            n = len(batch.sentences[0])
+            by_start = np.zeros((n + 1, n + 1), dtype=bool)
+            for i in range(n):
+                by_start[i, 1:n - i + 1] = True
+            i, w = np.nonzero(by_start)
+            by_end = np.zeros_like(by_start)
+            by_end[i + w, n - w] = True
+            (m, s), vit, counts = batch.inside, batch.viterbi, batch.counts
+            for table, empty in ((m, 0.0), (s, -math.inf), (vit, -math.inf), (counts, 0)):
+                assert np.array_equal(table[:, 0, i, w], table[:, 1, i + w, n - w])
+                assert (table[:, 0][:, ~by_start] == empty).all()
+                assert (table[:, 1][:, ~by_end] == empty).all()
+            sentences += len(batch.sentences)
+            batched += len(batch.sentences) > 1
+        assert sentences == len(set(known)) and batched
 
 
 class TestUnconstrainedCount:

@@ -331,6 +331,13 @@ class TestTrain:
         again, changed2 = prune(pruned, threshold=0.02)
         assert not changed2
 
+    @pytest.mark.parametrize("threshold", [math.nan, 1.0, -0.1])
+    def test_prune_rejects_threshold_outside_unit_interval(self, xbar_implicit, threshold):
+        # NaN and 1 would zero every rule; a negative threshold means nothing
+        with pytest.raises(ValueError, match="prune threshold"):
+            prune(xbar_implicit, threshold)
+        assert prune(xbar_implicit, 0.0) == (xbar_implicit, False)
+
 
 class TestLogLikelihood:
     def test_single_sentence(self, xbar_cnf):
