@@ -11,9 +11,7 @@ from .grammar import (
     GrammarError,
     compile_cnf,
     grammar_to_text,
-    load_tag_lexicon,
     parse_grammar,
-    project_category,
 )
 from .constraints import (
     RuleCandidate,

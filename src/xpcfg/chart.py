@@ -30,7 +30,9 @@ a few array operations for the whole batch.  The three forward fills, _fill
 (inside), _fill_viterbi and _fill_counts, take the same (index, (B, n) word
 ids); the reverse pass, batch_counts, runs on a filled batch.  A Chart is
 one row of its batch's tables; batches cuts a corpus into batches of
-bounded size, and a single sentence is a batch of one (cyk_fill).
+bounded size, and a single sentence is a batch of one (cyk_fill).  Corpora
+go through corpus_map, which fills each distinct sentence once and maps a
+function of its chart back to corpus order.
 """
 
 from __future__ import annotations
@@ -288,6 +290,18 @@ def batches(grammar, sentences):
         for at in range(0, len(group), size):
             batch = group[at:at + size]
             yield Batch(idx, batch, np.array([[idx.word_i[tok] for tok in tokens] for tokens in batch]))
+
+
+def corpus_map(grammar, corpus, f):
+    """f(chart) for each sentence of a corpus, in corpus order, or None for
+    a sentence that batches leaves out.  Each distinct sentence is filled
+    once, and f runs while its batch is alive."""
+    corpus = [tuple(tokens) for tokens in corpus]
+    value = {}
+    for batch in batches(grammar, dict.fromkeys(corpus)):
+        for tokens, chart in zip(batch.sentences, batch.charts()):
+            value[tokens] = f(chart)
+    return [value.get(tokens) for tokens in corpus]
 
 
 def _fill(idx, words):
@@ -560,16 +574,14 @@ class ParseReport:
     tree: Tree
 
 
-def parse_report(grammar, tokens):
-    """Parse one sentence and report best/all/likelihood/count plus the tree."""
-    chart = cyk_fill(grammar, tokens)
-    all_log = chart.sentence_logprob()
-    if all_log == NEG_INF:
-        raise NoParseError("no parse for %r" % " ".join(tokens))
+def parse_report(grammar, tokens, chart=None):
+    """Report best/all/likelihood/count plus the tree for one sentence, from
+    its chart if given, else from a batch of one."""
+    if chart is None:
+        chart = cyk_fill(grammar, tokens)
     tree, _ = viterbi_parse(chart, grammar)
-    best_log = chart.viterbi_log()
-    return ParseReport(list(tokens), best_log, all_log,
-                       math.exp(best_log - all_log), count_parses(chart), tree)
+    return ParseReport(list(tokens), chart.viterbi_log(), chart.sentence_logprob(),
+                       likelihood_ratio(chart), count_parses(chart), tree)
 
 
 def sci_from_log(ln_value, digits=6):

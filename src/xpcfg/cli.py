@@ -17,7 +17,7 @@ from . import __version__
 from .chart import (
     NoParseError,
     ParseError,
-    batches,
+    corpus_map,
     count_parses,
     format_report,
     format_tree,
@@ -145,17 +145,19 @@ def cmd_train(args):
 
 def cmd_parse(args):
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
-    out = []
-    for tokens in load_corpus(args.corpus):
-        out.append(" ".join(tokens))
+    corpus = load_corpus(args.corpus)
+
+    def lines(tokens, chart=None):
         try:
-            report = parse_report(cnf, tokens)
+            report = parse_report(cnf, tokens, chart)
         except (ParseError, NoParseError) as exc:
-            out.append("no parse: %s" % exc)
-        else:
-            out.append(format_tree(report.tree, style=args.format))
-            out.append(format_report(report))
-        out.append("")
+            return ["no parse: %s" % exc]
+        return [format_tree(report.tree, style=args.format), format_report(report)]
+
+    out = []
+    # left out by corpus_map: parse_report raises the unknown token's ParseError
+    for tokens, text in zip(corpus, corpus_map(cnf, corpus, lambda c: lines(c.tokens, c))):
+        out += [" ".join(tokens)] + (text or lines(tokens)) + [""]
     _emit(args, "\n".join(out))
     return 0
 
@@ -168,12 +170,10 @@ def cmd_count(args):
     if not (args.grammar and args.corpus):
         raise SystemExit("count needs either --unconstrained N NTS or --grammar and --corpus")
     cnf = _detect_and_load_grammar(args.grammar, root=args.root)
-    corpus = [tuple(tokens) for tokens in load_corpus(args.corpus)]
-    # batches leaves out empty sentences and those with an unknown token: 0
-    counts = {tuple(chart.tokens): count_parses(chart)
-              for batch in batches(cnf, dict.fromkeys(corpus)) for chart in batch.charts()}
-    for tokens in corpus:
-        print("%d\t%s" % (counts.get(tokens, 0), " ".join(tokens)))
+    corpus = load_corpus(args.corpus)
+    # corpus_map leaves out empty sentences and those with an unknown token: 0
+    for tokens, count in zip(corpus, corpus_map(cnf, corpus, count_parses)):
+        print("%d\t%s" % (count or 0, " ".join(tokens)))
     return 0
 
 

@@ -51,9 +51,6 @@ class Category:
     def items(self):
         return self._assign.items()
 
-    def restrict(self, keep):
-        return Category({f: v for f, v in self._assign.items() if f in keep})
-
     def __eq__(self, other):
         return isinstance(other, Category) and self._assign == other._assign
 
@@ -176,9 +173,6 @@ class Grammar:
     words: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
 
-    def feature_map(self):
-        return {f.name: f for f in self.features}
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -230,10 +224,16 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def where(self, tok):
+        """Line and column of tok, or just past the last token at the end of
+        input (tok None)."""
+        last = self.tokens[-1]
+        return (tok.line, tok.col) if tok else (last.line, last.col + len(last.text))
+
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise GrammarError("unexpected end of input")
+            raise GrammarError("unexpected end of input", *self.where(None))
         self.pos += 1
         return tok
 
@@ -241,8 +241,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok.kind != kind:
             got = "end of input" if tok is None else repr(tok.text)
-            where = (tok.line, tok.col) if tok else (None, None)
-            raise GrammarError("expected %r, got %s" % (kind, got), *where)
+            raise GrammarError("expected %r, got %s" % (kind, got), *self.where(tok))
         return self.next()
 
     def accept(self, kind):
@@ -255,8 +254,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok.kind not in ("ATOM", "-"):
             got = "end of input" if tok is None else repr(tok.text)
-            where = (tok.line, tok.col) if tok else (None, None)
-            raise GrammarError("expected %s, got %s" % (what, got), *where)
+            raise GrammarError("expected %s, got %s" % (what, got), *self.where(tok))
         return self.next()
 
     # -- shared pieces -----------------------------------------------------
@@ -322,7 +320,7 @@ class _Parser:
             self.expect(",")
 
     def feature_slot(self, features):
-        """'F(i)' -> (feature, slot index)."""
+        """'F(i)' -> (feature token, slot index)."""
         ftok = self.atom("feature name")
         _check_feature(features, ftok)
         self.expect("(")
@@ -330,10 +328,11 @@ class _Parser:
         self.expect(")")
         if itok.text not in ("0", "1", "2"):
             raise GrammarError("slot index must be 0, 1 or 2", itok.line, itok.col)
-        return ftok.text, int(itok.text)
+        return ftok, int(itok.text)
 
     def equation(self, features):
-        feat, slot = self.feature_slot(features)
+        ftok, slot = self.feature_slot(features)
+        feat = ftok.text
         self.expect("=")
         if self.accept("("):
             # Disjunction, e.g. (BAR(1) | BAR(1) -- 1): mother level relates
@@ -342,14 +341,19 @@ class _Parser:
             dslot = None
             while True:
                 f2, s2 = self.feature_slot(features)
-                if f2 != feat:
-                    raise GrammarError("disjunction must range over feature %r" % feat)
+                if f2.text != feat:
+                    raise GrammarError("disjunction must range over feature %r" % feat,
+                                       f2.line, f2.col)
                 if dslot is None:
                     dslot = s2
                 elif s2 != dslot:
-                    raise GrammarError("disjunction must reference a single daughter slot")
+                    raise GrammarError("disjunction must reference a single daughter slot",
+                                       f2.line, f2.col)
                 if self.accept("DDASH"):
                     off = self.atom("offset")
+                    if not off.text.isdigit():
+                        raise GrammarError("level offset must be a non-negative integer, got %r"
+                                           % off.text, off.line, off.col)
                     deltas.append(-int(off.text))
                 else:
                     deltas.append(0)
@@ -357,14 +361,16 @@ class _Parser:
                     break
                 self.expect("|")
             if slot != 0 or dslot == 0:
-                raise GrammarError("level disjunction must relate the mother to a daughter")
+                raise GrammarError("level disjunction must relate the mother to a daughter",
+                                   ftok.line, ftok.col)
             return EqBarLevel(feat, dslot, tuple(deltas))
         nxt = self.peek()
         if nxt is not None and nxt.kind == "ATOM" and self.pos + 1 < len(self.tokens) \
                 and self.tokens[self.pos + 1].kind == "(":
             f2, s2 = self.feature_slot(features)
-            if f2 != feat:
-                raise GrammarError("equation relates different features %r and %r" % (feat, f2))
+            if f2.text != feat:
+                raise GrammarError("equation relates different features %r and %r"
+                                   % (feat, f2.text), f2.line, f2.col)
             return EqSlots(feat, slot, s2)
         vtok = self.atom("feature value")
         _check_feature_value(features, Token("ATOM", feat, vtok.line, vtok.col), vtok)
@@ -682,42 +688,3 @@ def compile_cnf(grammar, root=None):
     return CnfGrammar(alias_names, terminals, binary, lexical, root,
                       {a.name: a.category for a in grammar.aliases})
 
-
-# ---------------------------------------------------------------------------
-# Category projection and tag lexicons
-
-def project_category(full, keep, aliases):
-    """Name the alias matching ``full`` restricted to the ``keep`` features.
-
-    ``aliases`` is an iterable of Alias.  The match compares restrictions on
-    both sides, so aliases carrying extra features outside ``keep`` still
-    match when they agree on the kept ones.
-    """
-    target = full.restrict(keep)
-    matches = [a.name for a in aliases if a.category.restrict(keep) == target]
-    if not matches:
-        raise GrammarError("no alias matches %r on features %s" % (target, sorted(keep)))
-    if len(matches) > 1:
-        raise GrammarError("aliases %s all match %r" % (matches, target))
-    return matches[0]
-
-
-def load_tag_lexicon(text, grammar):
-    """Parse 'TAG : [feat val, ...].' lines into a tag -> Category map.
-
-    Tags become the terminal vocabulary when parsing tag sequences; each tag
-    must map to a fully determinate category over declared features.
-    """
-    features = grammar.feature_map()
-    lexicon = {}
-    p = _Parser(_tokenize(text))
-    while p.peek() is not None:
-        tag = p.atom("tag")
-        if tag.text in lexicon:
-            raise GrammarError("duplicate tag %r" % tag.text, tag.line, tag.col)
-        p.expect(":")
-        p.expect("[")
-        cat = p.category_body(features)
-        p.expect(".")
-        lexicon[tag.text] = cat
-    return lexicon

@@ -16,7 +16,7 @@ Unparseable sentences are excluded from both sums and reported in the
 infinite.
 
 Sentence log-probabilities come from one inside pass per distinct sentence,
-in batches of one length (chart.batches), mapped back to corpus order.
+in batches of one length, mapped back to corpus order (chart.corpus_map).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chart import NEG_INF, NoParseError, batches
+from .chart import NEG_INF, Chart, NoParseError, corpus_map
 
 
 @dataclass
@@ -40,11 +40,8 @@ def corpus_logprobs(grammar, corpus):
     """Natural-log probability of each sentence, in corpus order; NEG_INF
     for a sentence with no parse or with a token outside the vocabulary.
     Each distinct sentence is parsed once, in batches of one length."""
-    corpus = [tuple(tokens) for tokens in corpus]
-    logprob = {}
-    for batch in batches(grammar, dict.fromkeys(corpus)):
-        logprob.update(zip(batch.sentences, batch.logprobs))
-    return [logprob.get(tokens, NEG_INF) for tokens in corpus]
+    return [NEG_INF if lp is None else lp
+            for lp in corpus_map(grammar, corpus, Chart.sentence_logprob)]
 
 
 def entropy(grammar, corpus, base=None):

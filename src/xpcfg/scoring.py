@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chart import NEG_INF, Tree, batches, viterbi_parse, walk
+from .chart import NEG_INF, Tree, corpus_map, viterbi_parse, walk
 from .grammar import GrammarError
 
 
@@ -154,7 +154,7 @@ def evaluate_corpus(grammar, gold_trees):
     """Viterbi-parse each gold tree's yield and score against its brackets.
 
     Each distinct yield is parsed once, with no inside pass, in batches of
-    one length (chart.batches).  Unparsed sentences are excluded from the
+    one length (chart.corpus_map).  Unparsed sentences are excluded from the
     bracket aggregates but counted in the sentences-parsed figures; recall
     and precision are micro-averaged over total bracket counts.  Raises
     ValueError on an empty gold set.
@@ -162,18 +162,17 @@ def evaluate_corpus(grammar, gold_trees):
     gold_trees = list(gold_trees)
     if not gold_trees:
         raise ValueError("empty gold set")
-    yields = [tuple(gold_tree.tokens()) for gold_tree in gold_trees]
-    best = {tuple(chart.tokens): viterbi_parse(chart, grammar)[0]
-            for batch in batches(grammar, dict.fromkeys(yields))
-            for chart in batch.charts() if chart.viterbi_log() != NEG_INF}
+    best = corpus_map(grammar, (gold_tree.tokens() for gold_tree in gold_trees),
+                      lambda chart: (viterbi_parse(chart, grammar)[0]
+                                     if chart.viterbi_log() != NEG_INF else None))
     score = CorpusScore(sentences_total=len(gold_trees))
     total_len = 0
-    for gold_tree, tokens in zip(gold_trees, yields):
-        if tokens not in best:
+    for gold_tree, tree in zip(gold_trees, best):
+        if tree is None:
             score.per_sentence.append(None)
             continue
         gold = brackets_of(gold_tree)
-        cand = brackets_of(best[tokens])
+        cand = brackets_of(tree)
         s = geig_score(cand, gold)
         score.per_sentence.append(s)
         score.sentences_parsed += 1

@@ -28,3 +28,12 @@ def xbar_implicit(xbar_cnf, xbar_implicit_rules):
 @pytest.fixture(scope="session")
 def sentence14():
     return "passionately with the sheep the cat chases the ball with the boy so slowly".split()
+
+
+@pytest.fixture(scope="session")
+def mixed_corpus(sentence14):
+    """Repeated sentences of three lengths (5, 2 and 14 words), one with a
+    token outside the vocabulary and one with no parse."""
+    five, other = "the cat chases the ball".split(), "the ball chases the cat".split()
+    return [five, "chases chases".split(), sentence14, "the dog".split(), five, other,
+            sentence14, "chases chases".split(), "the dog".split()]

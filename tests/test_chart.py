@@ -10,9 +10,11 @@ import xpcfg.chart as chart_module
 from bruteforce import enumerate_derivations, random_cnf_grammar, random_sentence
 from xpcfg.grammar import BinaryRule, CnfGrammar, LexRule
 from xpcfg.chart import (
+    Chart,
     NoParseError,
     ParseError,
     batches,
+    corpus_map,
     count_parses,
     cyk_fill,
     expected_counts,
@@ -277,6 +279,24 @@ class TestCounts:
 
 
 class TestLayout:
+    @pytest.mark.parametrize("f", [count_parses, Chart.sentence_logprob])
+    def test_corpus_map_equals_per_sentence_fills(self, xbar_implicit, mixed_corpus, f):
+        # corpus order, with None where the unknown token leaves a sentence out
+        expect = []
+        for tokens in mixed_corpus:
+            try:
+                expect.append(f(cyk_fill(xbar_implicit, tokens)))
+            except ParseError:
+                expect.append(None)
+        assert expect.count(None) == 2
+        assert corpus_map(xbar_implicit, mixed_corpus, f) == expect
+
+    def test_corpus_map_fills_each_distinct_sentence_once(self, xbar_implicit, mixed_corpus):
+        seen = []
+        corpus_map(xbar_implicit, mixed_corpus, lambda chart: seen.append(tuple(chart.tokens)))
+        known = {tuple(t) for t in mixed_corpus if "dog" not in t}
+        assert sorted(seen) == sorted(known)
+
     def test_halves_agree_and_outside_cells_stay_empty(self, xbar_implicit, sentence14):
         # every table holds cell (i, i + w) at [b, 0, i, w] and again at
         # [b, 1, i + w, n - w]; the reverse pass reads the cells outside the

@@ -3,6 +3,15 @@ import json
 import pytest
 
 from xpcfg import cli, fixtures
+from xpcfg.chart import (
+    NoParseError,
+    ParseError,
+    count_parses,
+    cyk_fill,
+    format_report,
+    format_tree,
+    parse_report,
+)
 from xpcfg.cli import main
 
 
@@ -204,7 +213,51 @@ class TestGenerateTrainParse:
         code, out, _ = run(capsys, "parse", "--grammar", xbar_path,
                            "--corpus", str(corpus))
         assert code == 0
-        assert "no parse" in out
+        assert out == "chases chases\nno parse: no parse for 'chases chases'\n"
+
+
+class TestCorpusPath:
+    """parse and count fill each distinct sentence once, in length batches,
+    and print exactly what a per-sentence loop prints."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, mixed_corpus):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("".join(" ".join(tokens) + "\n" for tokens in mixed_corpus))
+        return fixtures.fixture_path("xbar_trained.rules"), str(corpus)
+
+    @pytest.mark.parametrize("style", ["paren", "appendix3"])
+    def test_parse_equals_per_sentence_reports(self, capsys, paths, mixed_corpus, style):
+        grammar = cli._detect_and_load_grammar(paths[0])
+        expect = []
+        for tokens in mixed_corpus:
+            expect.append(" ".join(tokens))
+            try:
+                report = parse_report(grammar, tokens)
+            except (ParseError, NoParseError) as exc:
+                expect.append("no parse: %s" % exc)
+            else:
+                expect += [format_tree(report.tree, style=style), format_report(report)]
+            expect.append("")
+        code, out, _ = run(capsys, "parse", "--grammar", paths[0], "--corpus", paths[1],
+                           "--format", style)
+        assert code == 0
+        assert out == "\n".join(expect)
+        assert out.count("no parse: unknown token 'dog'") == 2
+        assert out.count("no parse: no parse for 'chases chases'") == 2
+
+    def test_count_equals_per_sentence_counts(self, capsys, paths, mixed_corpus):
+        grammar = cli._detect_and_load_grammar(paths[0])
+        expect = ""
+        for tokens in mixed_corpus:
+            try:
+                count = count_parses(cyk_fill(grammar, tokens))
+            except ParseError:
+                count = 0
+            expect += "%d\t%s\n" % (count, " ".join(tokens))
+        code, out, _ = run(capsys, "count", "--grammar", paths[0], "--corpus", paths[1])
+        assert code == 0
+        assert out == expect
 
 
 def test_version(capsys):

@@ -3,15 +3,9 @@ import math
 import pytest
 
 from xpcfg import fixtures
-from xpcfg.grammar import (
-    Category,
-    GrammarError,
-    compile_cnf,
-    grammar_to_text,
-    load_tag_lexicon,
-    parse_grammar,
-    project_category,
-)
+from xpcfg.grammar import GrammarError, compile_cnf, grammar_to_text, parse_grammar
+
+CONSTRAINT_TEXT = "FEATURE N{+, -}\nFEATURE BAR{0, 1, 2}\nCONSTRAINT C : [] --> [], [];\n  %s."
 
 
 class TestParseGrammar:
@@ -44,6 +38,8 @@ class TestParseGrammar:
     def test_undeclared_feature_value(self):
         with pytest.raises(GrammarError, match="value '0'"):
             parse_grammar("FEATURE V{+, -}\nALIAS V2 = [V 0].")
+        with pytest.raises(GrammarError, match="line 2:12: undeclared feature 'CASE'"):
+            parse_grammar("FEATURE V{+, -}\nALIAS X = [CASE acc].")
 
     def test_duplicate_alias(self):
         text = "FEATURE V{+, -}\nALIAS A = [V +].\nALIAS A = [V -]."
@@ -58,6 +54,32 @@ class TestParseGrammar:
     def test_syntax_error_carries_position(self):
         with pytest.raises(GrammarError, match="line 2"):
             parse_grammar("FEATURE V{+, -}\nALIAS = [V +].")
+
+    @pytest.mark.parametrize("equation, col, message", [
+        ("BAR(0)=(BAR(1) | BAR(1) -- x)", 30, "level offset must be a non-negative integer, got 'x'"),
+        ("BAR(0)=(BAR(1) | BAR(1) -- -1)", 30, "level offset must be a non-negative integer, got '-'"),
+        ("BAR(0)=(BAR(1) | N(1) -- 1)", 20, "disjunction must range over feature 'BAR'"),
+        ("BAR(0)=(BAR(1) | BAR(2) -- 1)", 20, "disjunction must reference a single daughter slot"),
+        ("BAR(1)=(BAR(2) | BAR(2) -- 1)", 3, "level disjunction must relate the mother to a daughter"),
+        ("BAR(0)=N(1)", 10, "equation relates different features 'BAR' and 'N'"),
+    ])
+    def test_equation_error_carries_position(self, equation, col, message):
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(CONSTRAINT_TEXT % equation)
+        assert (exc.value.line, exc.value.col) == (4, col)
+        assert str(exc.value) == "line 4:%d: %s" % (col, message)
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("FEATURE V{+, -}\nALIAS A = [V +].\nPSRULE S1 : A --> A A", "3:22", "expected '.'"),
+        ("FEATURE V{+, -}\nALIAS", "2:6", "expected alias name"),
+        ("FEATURE V{+, -}\n; comment\nALIAS A = [V\n; comment", "3:13", "expected feature value"),
+    ])
+    def test_end_of_input_is_just_past_the_last_token(self, text, where, message):
+        # comment lines after the last token do not move the location
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(text)
+        assert exc.value.line is not None
+        assert str(exc.value) == "line %s: %s, got end of input" % (where, message)
 
     def test_probability_range(self):
         with pytest.raises(GrammarError, match="outside"):
@@ -149,66 +171,6 @@ class TestCompileCnf:
             lines.append("WORD x : B. (1.0)")
             cnf = compile_cnf(parse_grammar("\n".join(lines)), root="A")
             cnf.check_normalized(tol=1e-9)
-
-
-class TestProjectCategory:
-    def test_projects_to_n0(self, xbar):
-        full = Category({"N": "+", "V": "-", "BAR": "0", "PER": "3", "NUM": "Sg"})
-        assert project_category(full, {"N", "V", "BAR"}, xbar.aliases) == "N0"
-
-    def test_identity_projection(self, xbar):
-        full = Category({"V": "+", "N": "-", "BAR": "2"})
-        assert project_category(full, {"N", "V", "BAR"}, xbar.aliases) == "V2"
-
-    def test_no_match(self, xbar):
-        full = Category({"N": "+", "V": "+", "BAR": "2"})
-        with pytest.raises(GrammarError, match="no alias"):
-            project_category(full, {"N", "V", "BAR"}, xbar.aliases)
-
-    def test_ambiguous_match(self, xbar):
-        # restricting to a single feature makes several aliases match
-        full = Category({"V": "+", "N": "-", "BAR": "2"})
-        with pytest.raises(GrammarError, match="all match"):
-            project_category(full, {"V"}, xbar.aliases)
-
-
-TAG_GRAMMAR = """\
-FEATURE N{+, -}
-FEATURE V{+, -}
-FEATURE BAR{0, 1, 2}
-FEATURE PER{1, 2, 3}
-FEATURE NUM{Sg, Pl}
-ALIAS N0 = [N +, V -, BAR 0].
-"""
-
-
-class TestTagLexicon:
-    def test_single_entry(self):
-        g = parse_grammar(TAG_GRAMMAR)
-        lex = load_tag_lexicon("NNS : [N +, V -, BAR 0, PER 3, NUM Sg].", g)
-        assert lex["NNS"] == Category(
-            {"N": "+", "V": "-", "BAR": "0", "PER": "3", "NUM": "Sg"})
-
-    def test_tags_project_to_aliases(self, xbar):
-        g = parse_grammar(TAG_GRAMMAR)
-        lex = load_tag_lexicon(
-            "NNS : [N +, V -, BAR 0, PER 3, NUM Sg].\n"
-            "NNP : [N +, V -, BAR 0, PER 3, NUM Pl].", g)
-        for cat in lex.values():
-            assert project_category(cat, {"N", "V", "BAR"}, xbar.aliases) == "N0"
-
-    def test_empty_lexicon(self):
-        assert load_tag_lexicon("", parse_grammar(TAG_GRAMMAR)) == {}
-
-    def test_duplicate_tag(self):
-        g = parse_grammar(TAG_GRAMMAR)
-        with pytest.raises(GrammarError, match="duplicate tag"):
-            load_tag_lexicon("NNS : [N +].\nNNS : [N -].", g)
-
-    def test_undeclared_feature(self):
-        g = parse_grammar(TAG_GRAMMAR)
-        with pytest.raises(GrammarError, match="undeclared feature"):
-            load_tag_lexicon("NNS : [CASE acc].", g)
 
 
 def test_fixture_files_present():
