@@ -1,38 +1,44 @@
 """CYK packed-chart parsing over CNF PCFGs, and its reverse pass, which takes
 expected rule counts for training.
 
-Inside and outside values are kept in an extended-range representation: each
-span stores a mantissa vector over nonterminals, with maximum 1, plus one
-natural-log scale factor (-inf for a span without mass), so sentence
-probabilities far below double-precision range stay exact to within
-rounding.  Viterbi search is the max-plus form of the inside pass, over
-log-probabilities: per cell, the best sum of daughter values over splits
-for each daughter pair, plus each rule's log-probability, maximised per
-mother.  It keeps no backpointers; the best tree's rule and split at each
-node are found again at extraction, by repeating the fill's sums.
-Derivation counts are float64 while below 2^53, where such sums are exact,
-and exact Python integers from the first span width at which any sentence of
-the batch reaches it.
+Inside and outside values are scaled by span.  Each word's lexical row is
+divided by c, its best lexical probability, and the binary rule matrix by d,
+its best entry.  A derivation of w words uses w lexical and w - 1 binary
+rules, so the inside values of a span share one factor, known before the
+pass: the words' c times d^(w - 1) (Batch.inside_logs adds its log back).
+Outside values carry the complementary factor, so those of a rule count,
+outside * rule * inside * inside / root, cancel.  A static bound on a
+batch's scaled values (_dtype) runs it in float64, or in np.longdouble if
+they fit only there; beyond both it raises ParseError.  Viterbi search is
+the max-plus inside pass over log-probabilities, with no backpointers: the
+best tree's rule and split at each node are found again at extraction, by
+repeating the fill's sums.  Derivation counts are float64 while below 2^53,
+where such sums are exact, and exact Python integers from the first span
+width at which any sentence of the batch reaches it.
+
+Batch contract: Viterbi and count tables are bit-identical whatever batch a
+sentence is filled in.  Inside values, log-probabilities and expected counts
+are bit-identical for the same batch composition, and equal to rel 1e-13
+otherwise, as the BLAS rounds a product's rows by the product's row count.
 
 A length batch of B sentences of one length n owns every table of its
 sentences, filled for the whole batch on first use.  Each table holds every
 cell twice, in one (B, 2, n + 1, n + 1, ...) array: half 0 by start, cell
 (i, i + w) at [b, 0, i, w], and half 1 by end, the same cell at
 [b, 1, i + w, n - w]; _put writes a span width to both.  Cells outside the
-chart hold the table's empty value (0, or -inf for log-scales and Viterbi).
+chart hold the table's empty value (0, or -inf for Viterbi).
 
 Every pass fills the chart one span width at a time, widest first for the
-reverse pass, and reads each block of a width as a slice of one half, so no
-cell ids are built: the left daughters (i, i + s) by start and the right
-daughters (i + s, i + w) by end, split by split (_daughters), and the
-parents and siblings of each cell as either daughter (_around).  A width is
-a few array operations for the whole batch.  The three forward fills, _fill
-(inside), _fill_viterbi and _fill_counts, take the same (index, (B, n) word
-ids); the reverse pass, batch_counts, runs on a filled batch.  A Chart is
-one row of its batch's tables; batches cuts a corpus into batches of
-bounded size, and a single sentence is a batch of one (cyk_fill).  Corpora
-go through corpus_map, which fills each distinct sentence once and maps a
-function of its chart back to corpus order.
+reverse pass, and reads each block of a width as a slice of one half: the
+left daughters (i, i + s) by start and the right daughters (i + s, i + w) by
+end, split by split (_daughters), and the parents and siblings of each cell
+as either daughter (_around).  The forward fills, _fill (inside),
+_fill_viterbi and _fill_counts, take the same (index, (B, n) word ids), and
+inside and counts share one combine (_combine); the reverse pass,
+batch_counts, runs on a filled batch.  A Chart is one row of its batch's
+tables; batches cuts a corpus into batches of bounded size, and a single
+sentence is a batch of one (cyk_fill).  corpus_map fills each distinct
+sentence once and maps a function of its chart back to corpus order.
 """
 
 from __future__ import annotations
@@ -50,10 +56,6 @@ NEG_INF = float("-inf")
 # many (a longer sentence is a batch of one), which bounds the passes' peak
 # memory on large corpora
 _BATCH_BLOCK = 2 ** 17
-
-# the reverse pass books a cell's rule counts in the log domain when exp()
-# of its scale relative to the sentence probability could overflow
-_EXP_LIMIT = 700.0
 
 
 class ParseError(Exception):
@@ -89,19 +91,23 @@ class _Index:
         self.bin_a = np.asarray(A, dtype=np.int64)
         self.bin_b = np.asarray(B, dtype=np.int64)
         self.bin_c = np.asarray(C, dtype=np.int64)
-        self.bin_p = np.asarray(P, dtype=np.float64)
-        self.bin_logp = np.log(self.bin_p) if len(P) else np.zeros(0)
+        bin_p = np.asarray(P, dtype=np.float64)
+        self.bin_logp = np.log(bin_p) if len(P) else np.zeros(0)
         self.bin_rid = np.asarray(rid, dtype=np.int64)
-        # daughter pair (left * N + right) -> mother: rule probabilities and
-        # rule multiplicities, for the inside, reverse and counting passes
+        # daughter pair (left * N + right) -> mother: rule probabilities over
+        # d, the best of them, and rule multiplicities, for the inside,
+        # reverse and counting passes
         N = self.n_nts
         pair = (self.bin_b * N + self.bin_c, self.bin_a)
-        self.pair_p = np.zeros((N * N, N))
-        np.add.at(self.pair_p, pair, self.bin_p)
+        self.pair_q = np.zeros((N * N, N))
+        np.add.at(self.pair_q, pair, bin_p)
+        d = self.pair_q.max() or 1.0
+        self.pair_q /= d
+        self.bin_q, self.log_d = bin_p / d, math.log(d)
         self.pair_n = np.zeros((N * N, N))
         np.add.at(self.pair_n, pair, 1.0)
         # live binary rules by (mother, rule id), each scored on its own (not
-        # summed as in pair_p): the Viterbi fill takes each mother's best from
+        # summed as in pair_q): the Viterbi fill takes each mother's best from
         # its first rule on with reduceat, and extraction scans rules_of[a],
         # (left, right, log-probability) per rule, in the same order
         order = np.argsort(self.bin_a, kind="stable")
@@ -113,7 +119,8 @@ class _Index:
 
         # live lexical rules: word id (in order of first use), mother,
         # probability and rule id; then (words, N) tables of the span of one
-        # word: inside values, derivation counts, and the best log-probability
+        # word: inside values over c, the word's best, derivation counts, and
+        # the best log-probability
         self.word_i = {}
         W, A, P, rid = [], [], [], []
         nb = len(grammar.binary)
@@ -125,12 +132,20 @@ class _Index:
                 rid.append(nb + i)
         self.lex_w = np.asarray(W, dtype=np.int64)
         self.lex_a = np.asarray(A, dtype=np.int64)
-        self.lex_p = np.asarray(P, dtype=np.float64)
+        lex_p = np.asarray(P, dtype=np.float64)
         self.lex_rid = np.asarray(rid, dtype=np.int64)
         V = len(self.word_i)
-        self.word_p, self.word_n = np.zeros((V, N)), np.zeros((V, N))
-        np.add.at(self.word_p, (self.lex_w, self.lex_a), self.lex_p)
+        self.word_q, self.word_n = np.zeros((V, N)), np.zeros((V, N))
+        np.add.at(self.word_q, (self.lex_w, self.lex_a), lex_p)
         np.add.at(self.word_n, (self.lex_w, self.lex_a), 1.0)
+        c = self.word_q.max(axis=1)
+        self.word_q /= c[:, None]
+        self.lex_q, self.word_logc = lex_p / c[self.lex_w], np.log(c)
+        # for the range bound (_dtype): the log of each word's and of the rule
+        # matrix's smallest nonzero ratio, and the largest sum of a mother's
+        self.word_low = np.log(np.where(self.word_q > 0.0, self.word_q, 1.0).min(axis=1))
+        self.rule_low = math.log(self.pair_q[self.pair_q > 0.0].min(initial=1.0))
+        self.rho = max(self.pair_q.sum(axis=0).max(), 1.0)
         self.word_logp = np.full((V, N), NEG_INF)
         for w, a, p in zip(W, A, P):
             self.word_logp[w, a] = max(self.word_logp[w, a], math.log(p))
@@ -158,9 +173,7 @@ class Chart:
     # -- inside ------------------------------------------------------------
 
     def inside_log(self, start, end, label):
-        mantissas, scales = self.batch.inside
-        m = mantissas[self.b, 0, start, end - start, self.index.nt_i[label]]
-        return NEG_INF if m == 0.0 else math.log(m) + scales[self.b, 0, start, end - start]
+        return float(self.batch.inside_logs(start, end, self.index.nt_i[label])[self.b])
 
     def inside(self, start, end, label):
         lp = self.inside_log(start, end, label)
@@ -221,34 +234,12 @@ def _outer(P, Q):
     return (P.swapaxes(-1, -2) @ Q).reshape(-1, P.shape[-1] * Q.shape[-1])
 
 
-def _shared_scale(s):
-    """One log-scale per cell for a sum over its rows: the largest of the
-    rows' log-scales s (..., rows), which are -inf for rows without mass.
-    Returns each row's weight relative to it, and the scale (0 for a cell
-    with no live row)."""
-    top = s.max(axis=-1)
-    top[top == NEG_INF] = 0.0  # no live row: every weight below is 0
-    return np.exp(s - top[..., None]), top
-
-
-def _store(m, s, w, cell, top):
-    """Store values cell (B * cells, N) under log-scales top (B, cells) as
-    the width w of mantissas m, with maximum 1, and log-scales s."""
-    cell = cell.reshape(top.shape + cell.shape[-1:])
-    peak = cell.max(axis=-1)
-    dead = peak == 0.0
-    peak[dead] = 1.0  # a cell with no mass is 0 under scale -inf
-    scale = top + np.log(peak)
-    scale[dead] = NEG_INF
-    _put(m, w, cell / peak[..., None])
-    _put(s, w, scale)
-
-
 class Batch:
     """B sentences of one length n, with their (B, n) word ids, and the tables
     of all of them, each filled for the whole batch on first use: inside
-    mantissas and log-scales, root log-probabilities (NEG_INF for a sentence
-    with no parse), the Viterbi table and derivation counts."""
+    values scaled by span, in the float type _dtype picks, root
+    log-probabilities (NEG_INF for a sentence with no parse), the Viterbi
+    table and derivation counts."""
 
     def __init__(self, idx, sentences, words):
         self.idx, self.sentences, self.words = idx, sentences, words
@@ -257,11 +248,17 @@ class Batch:
     def inside(self):
         return _fill(self.idx, self.words)
 
+    def inside_logs(self, start, end, a):
+        """(B,) natural logs of the inside values of label a over span
+        (start, end): each sentence's table value times the span's factor."""
+        idx = self.idx
+        scale = idx.word_logc[self.words[:, start:end]].sum(axis=1) + (end - start - 1) * idx.log_d
+        with np.errstate(divide="ignore"):
+            return (np.log(self.inside[:, 0, start, end - start, a]) + scale).astype(np.float64)
+
     @cached_property
     def logprobs(self):
-        (m, s), n = self.inside, self.words.shape[1]
-        root = m[:, 0, 0, n, self.idx.root_i].tolist()
-        return [math.log(r) + t if r else NEG_INF for r, t in zip(root, s[:, 0, 0, n].tolist())]
+        return self.inside_logs(0, self.words.shape[1], self.idx.root_i).tolist()
 
     @cached_property
     def viterbi(self):
@@ -304,20 +301,39 @@ def corpus_map(grammar, corpus, f):
     return [value.get(tokens) for tokens in corpus]
 
 
+def _dtype(idx, words):
+    """The float type of the inside and reverse passes over (B, n) word ids.
+    A scaled value is a sum of derivation products, each no smaller than the
+    product of the smallest ratios, and is at most Catalan(n - 1) trees, each
+    at most rho^(n - 1), rho the largest sum of a mother's ratios."""
+    n = words.shape[1]
+    low = (n - 1) * idx.rule_low + idx.word_low[words].sum(axis=1).min()
+    high = math.log(unconstrained_count(n, 1)) + (n - 1) * math.log(idx.rho)
+    for dtype in (np.float64, np.longdouble):
+        info = np.finfo(dtype)
+        if low > np.log(info.tiny) and high - low < np.log(info.max):
+            return dtype
+    raise ParseError("a sentence of %d words is beyond the range of the chart's floats" % n)
+
+
+def _combine(t, w, rules):
+    """The cells (B, n - w + 1, N) of span width w of table t: each daughter
+    pair's sums over splits, through rules (N * N, N)."""
+    L, R = _daughters(t, w)
+    return (_outer(L, R) @ rules).reshape(L.shape[:2] + (-1,))
+
+
 def _fill(idx, words):
-    """Inside pass over a batch of (B, n) word ids, returning its mantissas
-    and log-scales: each span width is one shared scale and one combine over
-    the cells of every sentence."""
+    """Inside pass over a batch of (B, n) word ids, returning its table of
+    values scaled by span: each span width is one combine over the cells of
+    every sentence."""
     (B, n), N = words.shape, idx.n_nts
-    m = np.zeros((B, 2, n + 1, n + 1, N))
-    s = np.full((B, 2, n + 1, n + 1), NEG_INF)
-    _put(m, 1, idx.word_p[words])
-    _put(s, 1, 0.0)
+    t = np.zeros((B, 2, n + 1, n + 1, N), _dtype(idx, words))
+    _put(t, 1, idx.word_q[words])
+    rules = idx.pair_q.astype(t.dtype)
     for w in range(2, n + 1):
-        (L, R), (Ls, Rs) = _daughters(m, w), _daughters(s, w)
-        rel, top = _shared_scale(Ls + Rs)
-        _store(m, s, w, _outer(L * rel[..., None], R) @ idx.pair_p, top)
-    return m, s
+        _put(t, w, _combine(t, w, rules))
+    return t
 
 
 def _fill_viterbi(idx, words):
@@ -349,15 +365,15 @@ def _fill_counts(idx, words):
     counts, rules = np.zeros((B, 2, n + 1, n + 1, N)), idx.pair_n
     _put(counts, 1, idx.word_n[words])
     for w in range(2, n + 1):
-        cell = _outer(*_daughters(counts, w)) @ rules
+        cell = _combine(counts, w, rules)
         # float64 sums of non-negative integers are exact below 2^53 and
         # reach 2^53 only where the exact sums do: from the first width
         # that reaches it, the batch's table is Python ints
         if counts.dtype != object and cell.max() >= 2.0 ** 53:
             counts = counts.astype(np.int64).astype(object)
             rules = rules.astype(np.int64).astype(object)
-            cell = _outer(*_daughters(counts, w)) @ rules
-        _put(counts, w, cell.reshape(B, -1, N))
+            cell = _combine(counts, w, rules)
+        _put(counts, w, cell)
     return counts
 
 
@@ -365,8 +381,7 @@ def cyk_fill(grammar, tokens):
     """Fill the inside chart for a token sequence: a batch of one.
 
     Raises ParseError naming the first token outside the grammar's terminal
-    vocabulary.  Runtime is O(n^3 * |rules|); inside values use the scaled
-    representation described in the module docstring.
+    vocabulary.  Runtime is O(n^3 * |rules|).
     """
     tokens = list(tokens)
     if not tokens:
@@ -387,10 +402,8 @@ def expected_counts(grammar, tokens, chart=None):
         chart = cyk_fill(grammar, tokens)
     if chart.sentence_logprob() == NEG_INF:
         raise NoParseError("expected counts undefined: sentence has no parse")
-    weights = np.zeros(len(chart.batch.sentences))
-    weights[chart.b] = 1.0
     counts = np.zeros(len(grammar.rules()))
-    batch_counts(grammar, chart.batch, weights, counts)
+    batch_counts(grammar, chart.batch, np.eye(len(chart.batch.sentences))[chart.b], counts)
     return counts
 
 
@@ -405,61 +418,43 @@ def batch_counts(grammar, batch, weights, counts):
     The reverse of the inside pass: one pass over the batch's chart, widest
     spans first, fills the outside values of every cell of a width from its
     parents, those where the cell is the left daughter and those where it is
-    the right one, read as slices (_around) under one shared scale per cell.
-    Every binary application has exactly one left daughter, so the same step
-    books the counts of the applications whose left daughter is a cell of
-    the width.  outside(0, n, root) = 1.
+    the right one, read as slices (_around).  Every binary application has
+    exactly one left daughter, so the same step books the counts of the
+    applications whose left daughter is a cell of the width.  Values are
+    scaled by span (outside(0, n, root) = 1), and a count's factors cancel.
     """
     live = [b for b, (lp, w) in enumerate(zip(batch.logprobs, weights)) if lp != NEG_INF and w]
     if not live:
         return
-    (in_m, in_s), words = batch.inside, batch.words
+    ins, words = batch.inside, batch.words
     if len(live) < len(batch.logprobs):
-        in_m, in_s, words = in_m[live], in_s[live], words[live]
-    root_lp = np.array([batch.logprobs[b] for b in live])
-    weight = np.array([weights[b] for b in live], dtype=np.float64)
+        ins, words = ins[live], words[live]
     idx = _index(grammar)
     n, N = words.shape[1], idx.n_nts
-    out_m, out_s = np.zeros_like(in_m), np.full_like(in_s, NEG_INF)
-    _put(out_m[..., idx.root_i], n, 1.0)
-    _put(out_s, n, 0.0)
+    per_root = np.array([weights[b] for b in live], ins.dtype) / ins[:, 0, 0, n, idx.root_i]
+    out = np.zeros_like(ins)
+    _put(out[..., idx.root_i], n, 1.0)
     # rules by daughter: (left, right * N + mother), (right, left * N + mother)
-    by_left = idx.pair_p.reshape(N, N * N)
-    by_right = idx.pair_p.reshape(N, N, N).transpose(1, 0, 2).reshape(N, N * N)
-    booked = np.zeros((N, N * N))  # (left, right * N + mother)
+    rules = idx.pair_q.astype(ins.dtype)
+    by_left = rules.reshape(N, N * N)
+    by_right = rules.reshape(N, N, N).transpose(1, 0, 2).reshape(N, N * N)
+    booked = np.zeros((N, N * N), ins.dtype)  # (left, right * N + mother)
 
     for w in range(n - 1, 0, -1):
         m = n - w + 1
-        par_l, sib_l, par_r, sib_r = _around(out_m, in_m, w)
-        ps_l, ss_l, ps_r, ss_r = _around(out_s, in_s, w)
-        rel, top = _shared_scale(np.concatenate([ps_l + ss_l, ps_r + ss_r], axis=-1))
+        par_l, sib_l, par_r, sib_r = _around(out, ins, w)
         # (cells, sibling * N + mother) sums for the cell as either daughter,
         # over its n - w rows as each
-        as_left = _outer(sib_l * rel[..., :n - w, None], par_l)
-        as_right = _outer(sib_r * rel[..., n - w:, None], par_r)
-        inside = in_m[:, 0, :m, w].reshape(-1, N)
-        cell = as_left @ by_left.T + as_right @ by_right.T
-        cell[inside == 0.0] = 0.0  # in no derivation: never used below
-        _store(out_m, out_s, w, cell, top)
-
-        scale = (top + in_s[:, 0, :m, w] - root_lp[:, None]).reshape(-1)
-        mult = np.repeat(weight, m)
-        low = scale <= _EXP_LIMIT
-        booked += (inside[low] * (np.exp(scale[low]) * mult[low])[:, None]).T @ as_left[low]
-        if not low.all():  # exp(scale) would overflow: book rule by rule in logs
-            high = ~low
-            with np.errstate(divide="ignore"):
-                logs = np.log(inside[high][:, idx.bin_b] * idx.bin_p
-                              * as_left[high][:, idx.bin_c * N + idx.bin_a])
-            counts[idx.bin_rid] += (np.exp(logs + scale[high, None])
-                                    * mult[high, None]).sum(axis=0)
-    counts[idx.bin_rid] += booked[idx.bin_b, idx.bin_c * N + idx.bin_a] * idx.bin_p
+        as_left, as_right = _outer(sib_l, par_l), _outer(sib_r, par_r)
+        inside = ins[:, 0, :m, w].reshape(-1, N)
+        _put(out, w, (as_left @ by_left.T + as_right @ by_right.T).reshape(-1, m, N))
+        booked += (inside * np.repeat(per_root, m)[:, None]).T @ as_left
+    counts[idx.bin_rid] += booked[idx.bin_b, idx.bin_c * N + idx.bin_a] * idx.bin_q
     # lexical rules: outside(i, i + 1, a) / inside(root) summed per word,
-    # times each rule's probability
-    scale = out_s[:, 0, :n, 1] - root_lp[:, None]
-    by_word = np.zeros((len(idx.word_i), N))
-    np.add.at(by_word, words, out_m[:, 0, :n, 1] * (np.exp(scale) * weight[:, None])[:, :, None])
-    counts[idx.lex_rid] += by_word[idx.lex_w, idx.lex_a] * idx.lex_p
+    # times each rule's scaled probability
+    by_word = np.zeros((len(idx.word_i), N), ins.dtype)
+    np.add.at(by_word, words, out[:, 0, :n, 1] * per_root[:, None, None])
+    counts[idx.lex_rid] += by_word[idx.lex_w, idx.lex_a] * idx.lex_q
 
 
 # ---------------------------------------------------------------------------

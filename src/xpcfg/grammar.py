@@ -80,6 +80,7 @@ class PsRule:
     mother: str
     daughters: tuple
     prob: float | None
+    line: int | None = field(default=None, compare=False)  # in the grammar text
 
 
 @dataclass(frozen=True)
@@ -461,7 +462,8 @@ def parse_grammar(text):
                 if t.text not in aliases:
                     raise GrammarError("unknown alias %r" % t.text, t.line, t.col)
             rule_names.add(name.text)
-            g.ps_rules.append(PsRule(name.text, mother.text, tuple(d.text for d in daughters), prob))
+            g.ps_rules.append(PsRule(name.text, mother.text, tuple(d.text for d in daughters), prob,
+                                      name.line))
 
         elif kw == "WORD":
             word = p.atom("word")
@@ -663,7 +665,7 @@ def compile_cnf(grammar, root=None):
         if len(r.daughters) != 2:
             raise GrammarError(
                 "PS rule %r has %d daughters; only binary rules compile to CNF"
-                % (r.name, len(r.daughters)))
+                % (r.name, len(r.daughters)), r.line)
     if root is None:
         if not grammar.ps_rules:
             raise GrammarError("no PS rules and no explicit root given")

@@ -61,28 +61,29 @@ class CorpusScore:
 # ---------------------------------------------------------------------------
 # Trees and brackets
 
-def parse_tree_text(text):
-    """Read one bracketed tree in nested-parenthesis form '(Label child ...)'.
+def parse_tree_text(text, line=None):
+    """Read one bracketed tree in nested-parenthesis form '(Label child ...)';
+    line, if given, is where the text stands in its file, for errors.
 
     Iterative, so tree depth is not limited by the interpreter's recursion
     limit.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens or tokens[0] != "(":
-        raise GrammarError("expected '(' in tree text at %r" % (tokens[0] if tokens else text))
+        raise GrammarError("expected '(' in tree text at %r" % (tokens[0] if tokens else text), line)
     stack = []  # open constituents: (label, children so far)
     pos = 0
     while True:
         tok = tokens[pos]
         if tok == "(":
             if pos + 1 >= len(tokens) or tokens[pos + 1] in "()":
-                raise GrammarError("missing node label in tree text")
+                raise GrammarError("missing node label in tree text", line)
             stack.append((tokens[pos + 1], []))
             pos += 2
         elif tok == ")":
             label, children = stack.pop()
             if not children:
-                raise GrammarError("empty constituent %r" % label)
+                raise GrammarError("empty constituent %r" % label, line)
             node = Tree(label, children)
             pos += 1
             if not stack:
@@ -92,15 +93,16 @@ def parse_tree_text(text):
             stack[-1][1].append(tok)
             pos += 1
         if pos >= len(tokens):
-            raise GrammarError("unbalanced parentheses in tree text")
+            raise GrammarError("unbalanced parentheses in tree text", line)
     if pos != len(tokens):
-        raise GrammarError("trailing text after tree")
+        raise GrammarError("trailing text after tree", line)
     return node
 
 
 def read_gold_trees(text):
-    """One bracketed tree per line; blank lines ignored."""
-    return [parse_tree_text(line) for line in text.splitlines() if line.strip()]
+    """One bracketed tree per line; blank lines ignored.  Errors name the
+    tree's line, from 1."""
+    return [parse_tree_text(tree, i) for i, tree in enumerate(text.splitlines(), 1) if tree.strip()]
 
 
 def load_gold_trees(path):

@@ -4,7 +4,7 @@ corpus, with per-iteration pruning and convergence control.
 Each E-step walks the distinct sentences of the corpus, batched by length
 (chart.batches).  Expected rule counts come from the chart module's
 reverse pass over each batch (chart.batch_counts), which fills outside values
-in the chart's scaled representation and books each rule application's
+scaled by span, as the inside values are, and books each rule application's
 count, times the sentence's multiplicity in the corpus, as it goes.
 """
 

@@ -150,16 +150,20 @@ class TestViterbi:
         charts = [chart for batch in batches(xbar_implicit, dict.fromkeys(known + [(), ("the", "dog")]))
                   for chart in batch.charts()]
         assert sorted(tuple(c.tokens) for c in charts) == sorted(whole)
+        # the batch contract: Viterbi and count tables are bit-identical
+        # whatever the batch; log-probabilities and expected counts are equal
+        # to rel 1e-13, as the BLAS rounds a product's rows by its row count
         for chart in charts:
             ref = whole[tuple(chart.tokens)]
             assert chart.viterbi_tables().tobytes() == ref.viterbi_tables().tobytes()
             # the inside and count tables are filled on first use
-            assert chart.sentence_logprob() == ref.sentence_logprob()
+            assert chart.sentence_logprob() == pytest.approx(ref.sentence_logprob(), rel=1e-13, abs=0)
             assert count_parses(chart) == count_parses(ref)
             # expected counts weight the chart's own row of its batch
             if ref.sentence_logprob() != -math.inf:
-                assert np.array_equal(expected_counts(xbar_implicit, chart.tokens, chart),
-                                      expected_counts(xbar_implicit, chart.tokens, ref))
+                np.testing.assert_allclose(expected_counts(xbar_implicit, chart.tokens, chart),
+                                           expected_counts(xbar_implicit, chart.tokens, ref),
+                                           rtol=1e-13, atol=0)
         batched = max(len(c.viterbi_tables().base) for c in charts) > 1
         assert batched == (block == 2 ** 17)
 
@@ -312,14 +316,41 @@ class TestLayout:
             i, w = np.nonzero(by_start)
             by_end = np.zeros_like(by_start)
             by_end[i + w, n - w] = True
-            (m, s), vit, counts = batch.inside, batch.viterbi, batch.counts
-            for table, empty in ((m, 0.0), (s, -math.inf), (vit, -math.inf), (counts, 0)):
+            for table, empty in ((batch.inside, 0.0), (batch.viterbi, -math.inf), (batch.counts, 0)):
                 assert np.array_equal(table[:, 0, i, w], table[:, 1, i + w, n - w])
                 assert (table[:, 0][:, ~by_start] == empty).all()
                 assert (table[:, 1][:, ~by_end] == empty).all()
             sentences += len(batch.sentences)
             batched += len(batch.sentences) > 1
         assert sentences == len(set(known)) and batched
+
+
+class TestRange:
+    """Inside values are scaled by span; a static bound per batch picks
+    float64, np.longdouble, or a ParseError that names the length."""
+
+    # S -> A S at 1e-300 against S -> A A: a derivation of n words is
+    # 1e-300^(n - 2) below the best ratio, beyond float64 from 3 words and
+    # beyond np.longdouble's 1e-4951 by 20
+    TINY = CnfGrammar(["S", "A"], ["a"],
+                      [BinaryRule("S", "A", "S", 1e-300), BinaryRule("S", "A", "A", 1.0 - 1e-300)],
+                      [LexRule("A", "a", 1.0)], root="S")
+
+    def test_beyond_every_float_type_raises(self):
+        with pytest.raises(ParseError, match=r"\b20 words"):
+            cyk_fill(self.TINY, ["a"] * 20)
+
+    def test_beyond_float64_runs_in_longdouble(self):
+        chart = cyk_fill(self.TINY, ["a"] * 3)
+        assert chart.batch.inside.dtype == np.longdouble
+        expected = (3 - 2) * math.log(1e-300) + math.log(1.0 - 1e-300)
+        assert chart.sentence_logprob() == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_xbar_sentences_run_in_float64(self, xbar_cnf, xbar_implicit, sentence14):
+        corpus = sample_corpus(xbar_cnf, GenConfig(count=1000, seed=7, max_length=50))
+        fifty = next(s for s in corpus if len(s) == 50)
+        for tokens in (sentence14, fifty):
+            assert cyk_fill(xbar_implicit, tokens).batch.inside.dtype == np.float64
 
 
 class TestUnconstrainedCount:

@@ -138,8 +138,9 @@ class TestCompileCnf:
     def test_nonbinary_rule_rejected(self):
         g = parse_grammar("FEATURE V{+, -}\nALIAS A = [V +].\nALIAS B = [V -].\n"
                           "PSRULE R : A --> B B B.")
-        with pytest.raises(GrammarError, match="daughters"):
+        with pytest.raises(GrammarError, match="^line 4: PS rule 'R' has 3 daughters") as err:
             compile_cnf(g, root="A")
+        assert err.value.line == 4
 
     def test_unspecified_probabilities_fill_uniformly(self):
         g = parse_grammar(

@@ -85,6 +85,12 @@ class TestBrackets:
         assert len(trees) == 2
         assert trees[1].tokens() == ["a", "b"]
 
+    def test_gold_tree_errors_name_the_line(self):
+        # blank lines count: the bad tree is on the file's fourth line
+        with pytest.raises(GrammarError, match="^line 4: unbalanced parentheses") as err:
+            read_gold_trees("(S a b)\n\n(S (X a) b)\n(S (X a b)\n")
+        assert err.value.line == 4
+
 
 class TestGeigScore:
     def test_identity(self):

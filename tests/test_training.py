@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bruteforce import enumerate_derivations, expected_usage, random_cnf_grammar
-from xpcfg import chart as chart_module
 from xpcfg import fixtures
 from xpcfg.chart import NEG_INF, NoParseError, count_parses, cyk_fill
 from xpcfg.generate import GenConfig, sample_corpus
@@ -94,18 +93,13 @@ class TestExpectedCounts:
         np.testing.assert_allclose(expected_counts(g, ["a", "a"]), oracle, rtol=1e-12, atol=0)
         np.testing.assert_allclose(oracle, [1.0, 1.0, 1.0], rtol=1e-12)
 
-    def test_log_domain_booking(self, monkeypatch, xbar_implicit):
-        # cells whose scale could overflow exp() book their counts rule by
-        # rule in the log domain; booking every cell that way must give the
-        # same counts
+    def test_log_domain_booking(self, xbar_implicit):
+        # the counts are booked from span-scaled tables, whose factors cancel
         tokens = "the cat chases the ball with the boy".split()
-        linear = expected_counts(xbar_implicit, tokens)
-        monkeypatch.setattr(chart_module, "_EXP_LIMIT", NEG_INF)
-        logs = expected_counts(xbar_implicit, tokens)
-        np.testing.assert_allclose(logs, linear, rtol=1e-12, atol=0)
         oracle = expected_usage(enumerate_derivations(xbar_implicit, tokens),
                                 len(xbar_implicit.rules()))
-        np.testing.assert_allclose(logs, oracle, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(expected_counts(xbar_implicit, tokens), oracle,
+                                   rtol=1e-9, atol=1e-15)
 
     def test_randomized_against_bruteforce(self):
         rng = random.Random(77)
@@ -176,11 +170,10 @@ class TestGradientOracle:
         assert checked == 3
         np.testing.assert_allclose(counts, [298, 1, 300], rtol=1e-10, atol=0)
 
-    def test_scale_beyond_exp_limit(self, monkeypatch):
+    def test_scale_beyond_exp_limit(self):
         # the span (0, 100) is X with inside about 0.5^99 or Y with inside
-        # about exp(-714) times that, and the root only takes Y: booking its
-        # counts needs exp() of a scale near 714, which overflows, so they
-        # are booked in the log domain
+        # about exp(-714) times that, and the root only takes Y: its values
+        # span more than float64's range, so the batch runs in np.longdouble
         q = 3.39e-4
         g = CnfGrammar(
             ["S", "X", "Y", "A"], ["a"],
@@ -191,15 +184,12 @@ class TestGradientOracle:
             root="S")
         tokens = ["a"] * 101
         chart = cyk_fill(g, tokens)
-        gap = chart.inside_log(0, 100, "X") - chart.inside_log(0, 100, "Y")
-        assert gap > chart_module._EXP_LIMIT + 10
+        assert chart.batch.inside.dtype == np.longdouble
+        assert chart.inside_log(0, 100, "X") - chart.inside_log(0, 100, "Y") > 710
         counts, checked = self.check(g, tokens, min_count=0.5)
         assert checked == 4
         # log Z is near -780: exact to about 1e-12 relative (1.0e-12 measured)
         np.testing.assert_allclose(counts, [1, 0, 0, 98, 1, 101], rtol=1e-10, atol=0)
-        monkeypatch.setattr(chart_module, "_EXP_LIMIT", math.inf)
-        with np.errstate(all="ignore"):
-            assert not np.isfinite(expected_counts(g, tokens)).all()
 
 
 class TestReestimate:
